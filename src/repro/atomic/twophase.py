@@ -29,8 +29,10 @@ A crash anywhere before step 3 leaves every shard's image at
 batch-start (roots were never poked) — recovery rolls the batch back.
 A crash at or after step 3 finds a durable DECISION — recovery replays
 any shard whose APPLIED marker is missing from its journaled PREPARE
-record, idempotently, because an un-applied shard's image *is* the
-batch-start state.  See :mod:`repro.recovery.atomic`.
+record.  That is safe because APPLIED is durable before any root is
+released, so a shard without it still images the batch-start state;
+the replay keeps the same order, so a crash inside it is safe too.
+See :mod:`repro.recovery.atomic`.
 """
 
 from __future__ import annotations

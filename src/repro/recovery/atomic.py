@@ -19,9 +19,12 @@ PREPARE + APPLIED            (yes)     ``already-applied`` — the image is
                                        the batch-end state; reclaim any
                                        free-time residue, write CLEAN
 PREPARE, no APPLIED          yes       ``replayed`` — re-execute the
-                                       journaled ops (idempotent: the
-                                       un-applied shard's image *is* the
-                                       batch-start state), write CLEAN
+                                       journaled ops as phase 2 does:
+                                       held, APPLIED, release, CLEAN.
+                                       Safe to repeat: APPLIED is durable
+                                       before any root is released, so
+                                       without it the image *is* the
+                                       batch-start state
 PREPARE, no APPLIED          no        ``rolled-back`` — the image is
                                        already the batch-start state
                                        (roots were never poked); reclaim
@@ -46,7 +49,7 @@ import contextlib
 import dataclasses
 from typing import TYPE_CHECKING, ContextManager, Iterable
 
-from repro.atomic.journal import CLEAN, PREPARE, IntentJournal, JournalState
+from repro.atomic.journal import PREPARE, IntentJournal
 from repro.buddy.area import DATA_AREA_BASE
 from repro.buddy.allocator import BuddyAllocator
 from repro.core.errors import InvalidArgumentError
@@ -55,7 +58,6 @@ from repro.experiments.parallel import DegradationLog
 from repro.starburst.descriptor import LongFieldDescriptor
 from repro.starburst.manager import StarburstManager
 from repro.tree.backed import TreeBackedManager
-from repro.tree.node import IndexNode
 from repro.tree.tree import PositionalTree
 
 if TYPE_CHECKING:
@@ -66,7 +68,9 @@ __all__ = [
     "RecoveryReport",
     "ShardRecovery",
     "fsck_sharded_store",
+    "reboot_sharded_store",
     "recover_sharded_store",
+    "resolve_sharded_store",
 ]
 
 
@@ -120,52 +124,17 @@ class RecoveryReport:
 # Rebuilding in-memory object state from raw page images
 # ----------------------------------------------------------------------
 def _reload_tree(manager: TreeBackedManager, oid: int) -> PositionalTree:
-    """Reopen one positional tree from its on-disk root page.
-
-    The root deserializes uncharged (it is memory-resident with the
-    object descriptor, as in the per-op path); interior nodes below it
-    are materialized through the buffer pool — charged recovery reads —
-    so the reloaded tree supports the uncharged accounting walks
-    (``iter_extents(charged=False)``, ``_walk_nodes``) fsck relies on.
-    """
+    """Reopen one positional tree from its on-disk root page."""
     env = manager.env
-    tree = PositionalTree(
+    return PositionalTree.reopen(
         manager.config,
         env.pool,
         env.areas.meta,
-        data_base=DATA_AREA_BASE,
+        oid,
+        DATA_AREA_BASE,
         shadow=env.shadow,
         leaf_alloc_pages=manager._leaf_alloc_pages,
     )
-    tree.root_page_id = oid
-    root, total, rightmost_alloc = IndexNode.deserialize(
-        env.disk.peek_pages(oid, 1),
-        oid,
-        is_root=True,
-        data_base=DATA_AREA_BASE,
-        meta_base=env.areas.meta.base_page_id,
-        leaf_alloc_pages=tree.leaf_alloc_pages,
-    )
-    tree.total_bytes = total
-    tree.height = root.level
-    tree._nodes[oid] = root
-    _load_children(tree, root)
-    if rightmost_alloc:
-        # The root header records the rightmost segment's true
-        # allocation (it may carry untrimmed append slack that
-        # ``leaf_alloc_pages`` cannot recompute from used bytes alone);
-        # without the patch, reconciliation would reclaim live slack.
-        last = tree._rightmost_extent_uncharged()
-        if last is not None:
-            last.alloc_pages = rightmost_alloc
-    return tree
-
-
-def _load_children(tree: PositionalTree, node: IndexNode) -> None:
-    if node.is_leaf_parent:
-        return
-    for entry in node.entries:
-        _load_children(tree, tree._get_node(entry.ref))
 
 
 def _reload_shard_objects(shard_store: "LargeObjectStore") -> None:
@@ -271,31 +240,51 @@ def recover_sharded_store(
     """Restore batch atomicity on a crashed atomic sharded store.
 
     Call after a crash fault interrupted :meth:`ShardedStore.submit_many`
-    (the store's disks are halted mid-protocol).  For every shard, in
-    ascending order: the fault site and halt latch are cleared, the
-    buffer pool is dropped (reboot semantics — dirty frames that never
-    reached disk are lost), the in-memory object structures are rebuilt
-    from raw page images, and the shard's journal is resolved per the
-    module decision table.  The store is fully usable afterwards, and
-    per-shard fsck (:func:`fsck_sharded_store`) comes back clean.
+    (the store's disks are halted mid-protocol).  This is
+    :func:`reboot_sharded_store` followed by :func:`resolve_sharded_store`:
+    every shard is rebooted, then, in ascending order, its in-memory
+    object structures are rebuilt from raw page images and its journal
+    is resolved per the module decision table.  The store is fully
+    usable afterwards, and per-shard fsck (:func:`fsck_sharded_store`)
+    comes back clean.
 
     Safe to run on a healthy store: shards with no batch history
     resolve to ``none`` and shards whose last batch completed resolve
     to ``already-applied`` — no object state changes either way.
     """
+    _journals(store)  # reject a non-atomic store before rebooting it
+    reboot_sharded_store(store)
+    return resolve_sharded_store(store, log=log)
+
+
+def reboot_sharded_store(store: "ShardedStore") -> None:
+    """Reboot every shard: clear its fault site and halt latch, and drop
+    its buffer pool (dirty frames that never reached disk are lost)."""
+    for shard_store in store.shards:
+        shard_store.env.disk.clear_fault_site()
+        shard_store.env.pool.reset()
+
+
+def _journals(store: "ShardedStore") -> tuple[IntentJournal, ...]:
     if store.coordinator is None:
         raise InvalidArgumentError(
             "recover_sharded_store needs an atomic store "
             "(ShardedStore(atomic=True))"
         )
+    return store.coordinator.journals
+
+
+def resolve_sharded_store(
+    store: "ShardedStore", *, log: DegradationLog | None = None
+) -> RecoveryReport:
+    """Resolve every shard's journal on a rebooted atomic store.
+
+    The second half of :func:`recover_sharded_store`, split out so a
+    sweep can reboot the store, arm a fault, and crash recovery itself.
+    """
+    journals = _journals(store)
     report = RecoveryReport(log=log if log is not None else DegradationLog())
-    journals = store.coordinator.journals
-    states: list[JournalState] = []
-    for shard, shard_store in enumerate(store.shards):
-        disk = shard_store.env.disk
-        disk.clear_fault_site()
-        shard_store.env.pool.reset()
-        states.append(journals[shard].read_state())
+    states = [journal.read_state() for journal in journals]
     for shard, shard_store in enumerate(store.shards):
         state = states[shard]
         journal = journals[shard]
@@ -334,9 +323,18 @@ def recover_sharded_store(
                 # the batch-start state (its root pokes were held), so
                 # re-executing the journaled ops lands exactly the
                 # batch-end state.  Reconcile first: the crashed held
-                # execution's shadow pages are orphans.
+                # execution's shadow pages are orphans.  The replay
+                # follows phase 2's order, so a crash inside it leaves
+                # either no APPLIED and the batch-start image (replay
+                # again) or APPLIED (already-applied) — never a
+                # batch-end image under a journal that asks for replay.
                 reclaimed, runs, scanned = _reconcile(shard_store, journal)
-                shard_store.submit_multi(list(prepare.mops))
+                engine = shard_store.env.exec
+                with engine.holding():
+                    shard_store.submit_multi(list(prepare.mops))
+                held = engine.take_held()
+                journal.write_applied(prepare.batch_id, shard)
+                engine.apply_held(held)
                 journal.write_clean(prepare.batch_id, shard)
                 report.log.add(
                     shard, f"shard{shard}", 1, "crash-recovery",

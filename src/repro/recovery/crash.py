@@ -1,4 +1,4 @@
-"""Crash injection and shadow recovery verification (Section 3.3).
+"""Shadow recovery verification: rebuild objects from disk images (§3.3).
 
 The paper's mechanisms all assume shadowing: "a page is never
 overwritten; instead, a write is performed by allocating and writing a
@@ -8,19 +8,12 @@ shadowing buys is testable: *if a crash interrupts an operation at any
 point before the root/descriptor write (the commit point), the object's
 previous state is fully reconstructible from the disk image*.
 
-:class:`CrashInjector` arms a write budget on a store's simulated disk;
-the budgeted write raises :class:`CrashError`, leaving the disk torn.
-While armed, frees do not discard page content (a real disk keeps the
-bytes of freed blocks; discarding them is a memory-saving artifact of
-the simulation).  The ``rebuild_*`` functions then reconstruct an
-object's content purely from serialized disk images — the recovery path.
-
-The injector is a thin veneer over :mod:`repro.faults`: arming installs
-a :class:`~repro.faults.FaultInjector` through the disk's sanctioned
-:class:`~repro.disk.disk.FaultSite` hook (the historical implementation
-swapped the disk's bound methods, which a mid-sweep exception could
-leave permanently patched).  ``disarm`` — called by ``__exit__`` no
-matter how the block exits — always restores the clean disk.
+Crashes are injected with :class:`~repro.faults.FaultInjector` (a
+:class:`~repro.faults.FaultPlan` with ``crash_writes=at(k)`` fails the
+k-th physical write and halts the disk).  The ``rebuild_*`` functions
+here then reconstruct an object's content purely from serialized disk
+images — the recovery path.  :mod:`repro.recovery.sweep` drives both
+over every write point.
 """
 
 from __future__ import annotations
@@ -28,53 +21,16 @@ from __future__ import annotations
 from repro.blockbased.manager import BlockBasedManager
 from repro.buddy.area import DATA_AREA_BASE, META_AREA_BASE
 from repro.core.env import StorageEnvironment
-from repro.core.errors import CrashError, InvalidArgumentError
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, at
+from repro.core.errors import InvalidArgumentError
 from repro.starburst.descriptor import LongFieldDescriptor
 from repro.tree.node import IndexNode
 
 __all__ = [
-    "CrashError",
-    "CrashInjector",
     "rebuild_blockbased_content",
     "rebuild_content",
     "rebuild_starburst_content",
     "rebuild_tree_content",
 ]
-
-
-class CrashInjector:
-    """Arms a crash after a fixed number of physical page writes."""
-
-    def __init__(self, env: StorageEnvironment) -> None:
-        self.env = env
-        self._injector: FaultInjector | None = None
-
-    # ------------------------------------------------------------------
-    # Arming
-    # ------------------------------------------------------------------
-    def arm(self, writes_before_crash: int) -> None:
-        """Crash on the (N+1)-th physical write call from now."""
-        if writes_before_crash < 0:
-            raise InvalidArgumentError("write budget must be non-negative")
-        self.disarm()
-        plan = FaultPlan(crash_writes=at(writes_before_crash + 1))
-        self._injector = FaultInjector(self.env, plan).install()
-
-    def disarm(self) -> None:
-        """Remove the injection; the disk behaves normally again."""
-        if self._injector is not None:
-            self._injector.uninstall()
-            self._injector = None
-
-    def __enter__(self) -> "CrashInjector":
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        # Unconditional teardown: a raising sweep iteration cannot leave
-        # the disk armed.
-        self.disarm()
 
 
 # ----------------------------------------------------------------------

@@ -88,6 +88,52 @@ class PositionalTree:
         self._nodes: dict[int, IndexNode] = {}
         self._dirty: set[int] = set()
 
+    @classmethod
+    def reopen(
+        cls,
+        config: SystemConfig,
+        pool: BufferPool,
+        meta: BuddyAllocator,
+        root_page_id: int,
+        data_base: int,
+        shadow: ShadowPolicy = DEFAULT_SHADOW,
+        leaf_alloc_pages: LeafAllocFn | None = None,
+    ) -> "PositionalTree":
+        """Rebuild a whole tree from its on-disk image.
+
+        The root deserializes uncharged (it is memory-resident with the
+        object descriptor); interior nodes below it are read through the
+        buffer pool, as charged reads.  The root header records the
+        rightmost segment's true allocation, which may carry append
+        slack that ``leaf_alloc_pages`` cannot recompute from used bytes
+        alone, so it is restored onto the last extent.
+        """
+        tree = cls(config, pool, meta, data_base, shadow, leaf_alloc_pages)
+        tree.root_page_id = root_page_id
+        root, tree.total_bytes, rightmost_alloc = IndexNode.deserialize(
+            pool.disk.peek_pages(root_page_id, 1),
+            root_page_id,
+            is_root=True,
+            data_base=data_base,
+            meta_base=meta.base_page_id,
+            leaf_alloc_pages=tree.leaf_alloc_pages,
+        )
+        tree.height = root.level
+        tree._nodes[root_page_id] = root
+        tree._load_below(root)
+        if rightmost_alloc:
+            last = tree._rightmost_extent_uncharged()
+            if last is not None:
+                last.alloc_pages = rightmost_alloc
+        return tree
+
+    def _load_below(self, node: IndexNode) -> None:
+        """Read every index node under ``node``, depth first."""
+        if node.is_leaf_parent:
+            return
+        for entry in node.entries:
+            self._load_below(self._get_node(entry.ref))
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -668,21 +714,6 @@ class PositionalTree:
             # Dirty nodes live in memory until the end-of-op flush; the
             # root is memory-resident with the object descriptor, so its
             # accesses are never charged.
-            return node
-        if is_root:
-            # First access after a reopen: rebuild the root, uncharged.
-            data = self.pool.disk.peek_pages(page_id, 1)
-            node, total, _rightmost = IndexNode.deserialize(
-                data,
-                page_id,
-                is_root=True,
-                data_base=self.data_base,
-                meta_base=self.meta.base_page_id,
-                leaf_alloc_pages=self.leaf_alloc_pages,
-            )
-            self.total_bytes = total
-            self.height = node.level
-            self._nodes[page_id] = node
             return node
         self.pool.fix(page_id)
         try:

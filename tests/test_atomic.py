@@ -18,6 +18,7 @@ The subsystem's contract has four legs:
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -35,11 +36,25 @@ from repro.core.config import small_page_config
 from repro.core.errors import ChecksumError, CrashError, InvalidArgumentError
 from repro.core.fsck import check, check_atomic_sharded
 from repro.exec.plan import BatchOp, MultiOp, append_op
+from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, at
 from repro.obs.runtime import installed
 from repro.obs.tracer import Tracer
-from repro.recovery.atomic import fsck_sharded_store, recover_sharded_store
-from repro.recovery.shard_sweep import sweep_scheme_shard
+from repro.recovery.atomic import (
+    fsck_sharded_store,
+    reboot_sharded_store,
+    recover_sharded_store,
+    resolve_sharded_store,
+)
+from repro.recovery.crash import rebuild_content
+from repro.recovery.sweep import (
+    BatchCase,
+    BatchScenario,
+    Scenario,
+    Wording,
+    run_sweep,
+    sweep,
+)
 from repro.shard.router import ShardedStore
 
 SCHEMES = ("esm", "starburst", "eos")
@@ -218,28 +233,107 @@ def test_read_only_cross_shard_batch_stays_atomic() -> None:
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_exhaustive_cross_shard_sweep_is_clean(scheme: str) -> None:
     """Every physical write point of every shard, crash and torn."""
-    for target in range(2):
-        report = sweep_scheme_shard(scheme, 2, target)
-        assert report.clean, "\n".join(
-            f.detail for f in report.failures
+    report = sweep(BatchScenario(scheme, 2), ("crash", "torn", "transient"))
+    assert report.clean, "\n".join(report.failure_lines())
+    assert {o.target for o in report.outcomes} == {0, 1}
+    table = report.classification_table()
+    assert "batch-absent" in table
+    # Recovery telemetry columns: every classified crash point carries
+    # the reconciliation scan size, and any point whose recovery string
+    # says "replayed" re-executed journaled ops.
+    header, *rows = table.strip().split("\n")
+    assert header.split("\t")[-4:] == [
+        "scanned", "reclaimed", "runs", "replayed"
+    ]
+    for row in rows:
+        fields = row.split("\t")
+        if fields[3] == "transient":
+            continue
+        assert int(fields[6]) > 0, "crash point scanned no blocks"
+        replayed = int(fields[9])
+        assert (replayed > 0) == ("replayed" in fields[5])
+
+
+@dataclasses.dataclass(frozen=True)
+class CrashInsideRecovery(Scenario):
+    """A second crash, inside the recovery from a first one.
+
+    ``fresh`` crashes the cross-shard batch at its first crash point
+    and reboots the store; the mutation is the journal resolution, so
+    the sweep crashes every write recovery makes on every shard.  A
+    second, complete recovery must then read back exactly what a single
+    recovery does, with a clean journal-aware fsck (no residue).
+    """
+
+    wording = Wording(
+        "recovery crash sweep", "points", "recovered",
+        (("as-one-recovery", "as-one-recovery", True),), per_shard=True,
+    )
+
+    batch: BatchScenario
+    first_target: int
+    first_write: int
+
+    @property
+    def name(self) -> str:
+        return (
+            f"{self.batch.scheme}@shard{self.first_target}"
+            f"/write{self.first_write}"
         )
-        assert report.outcomes, "sweep verified nothing"
-        table = report.classification_table()
-        assert "batch-absent" in table
-        # Recovery telemetry columns: every classified crash point
-        # carries the reconciliation scan size, and any point whose
-        # recovery string says "replayed" re-executed journaled ops.
-        header, *rows = table.strip().split("\n")
-        assert header.split("\t")[-4:] == [
-            "scanned", "reclaimed", "runs", "replayed"
-        ]
-        for row in rows:
-            fields = row.split("\t")
-            if fields[3] == "transient":
-                continue
-            assert int(fields[6]) > 0, "crash point scanned no blocks"
-            replayed = int(fields[9])
-            assert (replayed > 0) == ("replayed" in fields[5])
+
+    def fresh(self) -> BatchCase:
+        case = self.batch.fresh()
+        target = self.batch.disks(case)[self.first_target]
+        with pytest.raises(CrashError):
+            with FaultInjector(
+                target, FaultPlan(crash_writes=at(self.first_write))
+            ):
+                self.batch.mutate(case)
+        reboot_sharded_store(case.store)
+        return case
+
+    def mutate(self, case: BatchCase) -> None:
+        resolve_sharded_store(case.store)
+
+    def disks(self, case: BatchCase):
+        return self.batch.disks(case)
+
+    def snapshot(self, case: BatchCase) -> dict[int, bytes]:
+        # From the image: before resolution the objects in memory are
+        # those of the crashed execution.
+        return {
+            oid: rebuild_content(*case.store._route(oid))
+            for oid in case.oids
+        }
+
+    def recover(self, case: BatchCase, log):
+        return recover_sharded_store(case.store, log=log)
+
+    def classify(self, case, pre, post):
+        problems = []
+        if self.batch.snapshot(case) != post:
+            problems.append(
+                "two recoveries read back another state than one recovery"
+            )
+        for shard, fsck in enumerate(fsck_sharded_store(case.store)):
+            if not fsck.clean:
+                problems.append(f"shard{shard} {fsck.summary()}")
+        return "as-one-recovery", problems
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_crash_inside_recovery_resolves_like_one_recovery(
+    scheme: str,
+) -> None:
+    """Crash every write of recovery after every first crash point."""
+    batch = BatchScenario(scheme, 2)
+    first = sweep(batch, ("crash",))
+    report = run_sweep([
+        CrashInsideRecovery(batch, o.target, o.crash_write)
+        for o in first.outcomes
+    ], ("crash",))
+    assert report.clean, "\n".join(report.failure_lines())
+    assert report.outcomes, "recovery made no writes to crash"
 
 
 def test_recovery_on_healthy_store_changes_nothing() -> None:

@@ -16,11 +16,12 @@ the batch start or the batch end — never to a half-applied middle.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import CrashError
 from repro.core.payload import SizedPayload
 from repro.exec.plan import (
     BatchOp,
@@ -31,9 +32,7 @@ from repro.exec.plan import (
     replace_op,
 )
 from repro.experiments.common import make_store
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, at
-from repro.recovery.crash import rebuild_content
+from repro.recovery.sweep import StoreCase, StoreScenario, sweep
 from repro.workload.generator import WorkloadGenerator
 from repro.workload.runner import WorkloadRunner
 
@@ -231,9 +230,9 @@ def _pattern(n: int, salt: int = 0) -> bytes:
     return bytes((i * 31 + salt * 7 + 5) % 251 for i in range(n))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-def test_batch_crash_recovers_committed_state_from_image(scheme: str) -> None:
-    """Crashing at every write inside a batch recovers start or end state.
+@dataclasses.dataclass(frozen=True)
+class GroupCommitBatch(StoreScenario):
+    """One three-op batch on one object, group-committed at its end.
 
     The batch engine journals space frees while a fault injector is
     armed and defers root/descriptor flushes to the batch boundary, so
@@ -241,42 +240,33 @@ def test_batch_crash_recovers_committed_state_from_image(scheme: str) -> None:
     never happened) or the batch-end content (commit completed) — any
     other content means a torn group commit.
     """
-    config = small_page_config()
-    page = config.page_size
 
-    def fresh() -> tuple[LargeObjectStore, int, list[BatchOp]]:
+    scheme: str
+
+    @property
+    def name(self) -> str:
+        return f"{self.scheme}/batch"
+
+    def fresh(self) -> StoreCase:
+        config = small_page_config()
         store = LargeObjectStore(
-            scheme, config, leaf_pages=2, threshold_pages=2
+            self.scheme, config, leaf_pages=2, threshold_pages=2
         )
-        oid = store.create(_pattern(6 * page + 37))
-        batch = [
+        return StoreCase(store, store.create(_pattern(6 * config.page_size + 37)))
+
+    def mutate(self, case: StoreCase) -> None:
+        page = case.store.config.page_size
+        case.store.submit_ops(case.oid, [
             append_op(_pattern(2 * page + 5, salt=1)),
             insert_op(3 * page + 17, _pattern(page + 9, salt=2)),
             delete_op(page + 3, 2 * page),
-        ]
-        return store, oid, batch
+        ])
 
-    # Dry run: learn the write count and the two committed contents.
-    store, oid, batch = fresh()
-    pre = bytes(store.read(oid, 0, store.size(oid)))
-    writes_before = store.stats.write_calls
-    store.submit_ops(oid, batch)
-    n_writes = store.stats.write_calls - writes_before
-    post = bytes(store.read(oid, 0, store.size(oid)))
-    assert 1 <= n_writes <= 500
 
-    seen: set[str] = set()
-    for k in range(1, n_writes + 1):
-        store, oid, batch = fresh()
-        with FaultInjector(store.env, FaultPlan(crash_writes=at(k))):
-            with pytest.raises(CrashError):
-                store.submit_ops(oid, batch)
-        assert not store.env.disk.verify_checksums()
-        recovered = bytes(rebuild_content(store, oid))
-        assert recovered in (pre, post), (
-            f"{scheme}: crash at write {k}/{n_writes} rebuilt "
-            f"{len(recovered)} bytes matching neither batch-start nor "
-            "batch-end content"
-        )
-        seen.add("post" if recovered == post else "pre")
-    assert "pre" in seen  # at least the earliest crash predates commit
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batch_crash_recovers_committed_state_from_image(scheme: str) -> None:
+    """Crashing at every write inside a batch recovers start or end state."""
+    report = sweep(GroupCommitBatch(scheme), ("crash",))
+    assert report.clean, "\n".join(report.failure_lines())
+    # At least the earliest crash predates the commit.
+    assert "pre" in {o.outcome for o in report.outcomes}

@@ -7,11 +7,17 @@ content reconstructible from the disk image.  Without shadowing, in-place
 overwrites destroy the committed state.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.recovery.crash import CrashError, CrashInjector, rebuild_content
+from repro.core.errors import CrashError
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan, at
+from repro.recovery.crash import rebuild_content
+from repro.recovery.sweep import StoreCase, StoreScenario, sweep
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -39,6 +45,33 @@ def committed_object(store):
     return oid, content
 
 
+def crash_at(store, write):
+    """Arm a crash at the given 1-based physical write of ``store``."""
+    return FaultInjector(store.env, FaultPlan(crash_writes=at(write)))
+
+
+@dataclasses.dataclass(frozen=True)
+class InsertAfterHistory(StoreScenario):
+    """An insert into :func:`committed_object`, crashed by the sweep."""
+
+    scheme: str
+    options: dict
+    offset: int
+    payload: bytes
+
+    @property
+    def name(self):
+        return f"{self.scheme}/insert"
+
+    def fresh(self):
+        store = make_store(self.scheme, self.options)
+        oid, _ = committed_object(store)
+        return StoreCase(store, oid)
+
+    def mutate(self, case):
+        case.store.insert(case.oid, self.offset, self.payload)
+
+
 class TestRebuild:
     @pytest.mark.parametrize("scheme,options", SCHEME_SETTINGS)
     def test_rebuild_matches_live_content(self, scheme, options):
@@ -50,38 +83,24 @@ class TestRebuild:
 class TestCrashWithShadowing:
     @pytest.mark.parametrize("scheme,options", SCHEME_SETTINGS)
     def test_any_crash_point_preserves_committed_state(self, scheme, options):
-        """Sweep every write count until the op completes: at each crash
+        """Crash at every write until the op completes: at each crash
         point, the pre-op content must be reconstructible."""
-        budget = 0
-        while True:
-            store = make_store(scheme, options)
-            oid, committed = committed_object(store)
-            injector = CrashInjector(store.env)
-            injector.arm(budget)
-            try:
-                store.insert(
-                    oid, 3 * PAGE + 17, pattern_bytes(3 * PAGE, salt=9)
-                )
-                injector.disarm()
-                break  # the operation completed: sweep done
-            except CrashError:
-                injector.disarm()
-                recovered = rebuild_content(store, oid)
-                assert recovered == committed, (
-                    f"{scheme}: crash after {budget} writes lost data"
-                )
-            budget += 1
-            assert budget < 200, "operation never completed"
+        report = sweep(InsertAfterHistory(
+            scheme, options, 3 * PAGE + 17, pattern_bytes(3 * PAGE, salt=9)
+        ), ("crash",))
+        assert report.clean, "\n".join(report.failure_lines())
+        assert report.outcomes
+        assert all(o.outcome == "pre" for o in report.outcomes), (
+            f"{scheme}: a crash lost data"
+        )
 
     @pytest.mark.parametrize("scheme,options", SCHEME_SETTINGS[:3])
     def test_crash_during_delete_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)  # crash on the very first write
-        with pytest.raises(CrashError):
-            store.delete(oid, PAGE, 4 * PAGE)
-        injector.disarm()
+        with crash_at(store, 1):  # crash on the very first write
+            with pytest.raises(CrashError):
+                store.delete(oid, PAGE, 4 * PAGE)
         assert rebuild_content(store, oid) == committed
 
     def test_completed_operation_commits_new_state(self):
@@ -102,14 +121,12 @@ class TestCrashWithoutShadowing:
         oid = store.create(data)
         store.manager.trim(oid)
         committed = store.read(oid, 0, store.size(oid))
-        injector = CrashInjector(store.env)
         # Let the data overwrite land, then crash.
-        injector.arm(1)
-        try:
-            store.replace(oid, 0, pattern_bytes(2 * PAGE, salt=7))
-        except CrashError:
-            pass
-        injector.disarm()
+        with crash_at(store, 2):
+            try:
+                store.replace(oid, 0, pattern_bytes(2 * PAGE, salt=7))
+            except CrashError:
+                pass
         recovered = rebuild_content(store, oid)
         assert recovered != committed, (
             "without shadowing the old state should be gone"
@@ -118,22 +135,20 @@ class TestCrashWithoutShadowing:
 
 class TestInjector:
     def test_rejects_negative_budget(self):
-        store = make_store("eos", {})
+        # Crash points count physical writes from 1.
         with pytest.raises(ValueError):
-            CrashInjector(store.env).arm(-1)
+            FaultPlan(crash_writes=at(0))
 
     def test_disarm_restores_normal_writes(self):
         store = make_store("eos", {})
-        injector = CrashInjector(store.env)
-        injector.arm(0)
-        injector.disarm()
+        crash_at(store, 1).install().uninstall()
         oid = store.create(b"works fine")
         assert store.read(oid, 0, 10) == b"works fine"
 
     def test_context_manager_disarms(self):
         store = make_store("eos", {})
-        with CrashInjector(store.env) as injector:
-            injector.arm(0)
+        with crash_at(store, 1):
+            pass
         oid = store.create(b"xy")
         assert store.size(oid) == 2
 
@@ -143,11 +158,9 @@ class TestMoreCrashScenarios:
     def test_crash_during_append_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)
-        with pytest.raises(CrashError):
-            store.append(oid, pattern_bytes(4 * PAGE, salt=11))
-        injector.disarm()
+        with crash_at(store, 1):
+            with pytest.raises(CrashError):
+                store.append(oid, pattern_bytes(4 * PAGE, salt=11))
         recovered = rebuild_content(store, oid)
         # The committed prefix survives: in-place appends only ever write
         # past the committed bytes (or into fresh segments).
@@ -157,33 +170,22 @@ class TestMoreCrashScenarios:
     def test_crash_during_replace_recoverable(self, scheme, options):
         store = make_store(scheme, options)
         oid, committed = committed_object(store)
-        injector = CrashInjector(store.env)
-        injector.arm(0)
-        with pytest.raises(CrashError):
-            store.replace(oid, PAGE, pattern_bytes(3 * PAGE, salt=12))
-        injector.disarm()
+        with crash_at(store, 1):
+            with pytest.raises(CrashError):
+                store.replace(oid, PAGE, pattern_bytes(3 * PAGE, salt=12))
         assert rebuild_content(store, oid) == committed
 
     def test_repeated_crashes_then_success(self):
         """A client retrying after crashes eventually commits cleanly."""
         patch = pattern_bytes(2 * PAGE, salt=13)
-        budget = 0
-        crashes = 0
-        while True:
-            store = make_store("eos", {"threshold_pages": 2})
-            oid, committed = committed_object(store)
-            injector = CrashInjector(store.env)
-            injector.arm(budget)
-            try:
-                store.insert(oid, 100, patch)
-                injector.disarm()
-                break  # the retry finally succeeded
-            except CrashError:
-                injector.disarm()
-                crashes += 1
-                # Model recovery: reopen from the committed image.
-                assert rebuild_content(store, oid) == committed
-            budget += 1
-        assert crashes >= 1, "the injector never fired"
+        scenario = InsertAfterHistory("eos", {"threshold_pages": 2}, 100, patch)
+        report = sweep(scenario, ("crash",))
+        assert report.clean, "\n".join(report.failure_lines())
+        assert report.outcomes, "the injector never fired"
+        # Model recovery: every crash reopens from the committed image.
+        assert all(o.outcome == "pre" for o in report.outcomes)
+        case = scenario.fresh()
+        committed = rebuild_content(case.store, case.oid)
+        scenario.mutate(case)  # the retry finally succeeds
         expected = committed[:100] + patch + committed[100:]
-        assert rebuild_content(store, oid) == expected
+        assert rebuild_content(case.store, case.oid) == expected

@@ -16,11 +16,13 @@ Three invariants carry the whole subsystem:
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.core.errors import CrashError, InvalidArgumentError
+from repro.core.errors import InvalidArgumentError
 from repro.core.payload import SizedPayload
 from repro.exec.plan import (
     append_op,
@@ -30,9 +32,8 @@ from repro.exec.plan import (
     read_op,
     replace_op,
 )
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FaultPlan, at
 from repro.recovery.crash import rebuild_content
+from repro.recovery.sweep import BatchCase, Scenario, sweep
 from repro.shard import (
     BuildStep,
     OpsStep,
@@ -414,12 +415,9 @@ def _pattern(n: int, salt: int = 0) -> bytes:
     return bytes((i * 31 + salt * 7 + 5) % 251 for i in range(n))
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
-@pytest.mark.parametrize("victim", (0, 1))
-def test_cross_shard_crash_never_corrupts_siblings(
-    scheme: str, victim: int
-) -> None:
-    """Sweep a crash over every write of one shard's sub-batch.
+@dataclasses.dataclass(frozen=True)
+class VictimCrash(Scenario):
+    """A plain two-shard batch; only the ``victim`` shard's disk crashes.
 
     The crashed shard must rebuild (from its image alone) to its
     batch-start or batch-end content; the sibling shard must hold
@@ -428,68 +426,76 @@ def test_cross_shard_crash_never_corrupts_siblings(
     crashed second) — never anything in between, and never any damage
     from the other shard's crash.
     """
-    config = small_page_config()
-    page = config.page_size
 
-    def fresh() -> tuple[ShardedStore, list[int], list[object]]:
+    scheme: str
+    victim: int
+
+    @property
+    def name(self) -> str:
+        return f"{self.scheme}/victim{self.victim}"
+
+    def fresh(self) -> BatchCase:
+        page = small_page_config().page_size
         store = ShardedStore(
-            scheme, config, shards=2, leaf_pages=2, threshold_pages=2
+            self.scheme, small_page_config(), shards=2,
+            leaf_pages=2, threshold_pages=2,
         )
         oids = [
             store.create(_pattern(4 * page + 21, salt=i)) for i in range(2)
         ]
-        mops = [
-            multi_op(oids[0], append_op(_pattern(page + 5, salt=3))),
-            multi_op(oids[1], append_op(_pattern(page + 9, salt=4))),
-            multi_op(oids[0], insert_op(page + 7, _pattern(300, salt=5))),
-            multi_op(oids[1], delete_op(page, 2 * page)),
-            multi_op(oids[1], insert_op(13, _pattern(200, salt=6))),
-            multi_op(oids[0], delete_op(2 * page + 1, page)),
-        ]
-        return store, oids, mops
+        return BatchCase(store, oids)
 
-    # Dry run: committed contents per shard and the victim's write count.
-    store, oids, mops = fresh()
-    pre = [bytes(store.read(o, 0, store.size(o))) for o in oids]
-    writes_before = store.shards[victim].stats.write_calls
-    store.submit_many(mops)
-    n_writes = store.shards[victim].stats.write_calls - writes_before
-    post = [bytes(store.read(o, 0, store.size(o))) for o in oids]
-    assert n_writes >= 1
-    sibling = 1 - victim
+    def mutate(self, case: BatchCase) -> None:
+        page = case.store.config.page_size
+        a, b = case.oids
+        case.store.submit_many([
+            multi_op(a, append_op(_pattern(page + 5, salt=3))),
+            multi_op(b, append_op(_pattern(page + 9, salt=4))),
+            multi_op(a, insert_op(page + 7, _pattern(300, salt=5))),
+            multi_op(b, delete_op(page, 2 * page)),
+            multi_op(b, insert_op(13, _pattern(200, salt=6))),
+            multi_op(a, delete_op(2 * page + 1, page)),
+        ])
 
-    seen: set[str] = set()
-    for k in range(1, n_writes + 1):
-        store, oids, mops = fresh()
-        injector = FaultInjector(
-            store.shards[victim].env, FaultPlan(crash_writes=at(k))
-        )
-        with injector:
-            with pytest.raises(CrashError):
-                store.submit_many(mops)
-        # Victim: image-only rebuild reaches a committed state.
-        assert not store.shards[victim].env.disk.verify_checksums()
+    def disks(self, case: BatchCase):
+        return [case.store.shards[self.victim].env]
+
+    def snapshot(self, case: BatchCase) -> dict[int, bytes]:
+        store = case.store
+        return {o: bytes(store.read(o, 0, store.size(o))) for o in case.oids}
+
+    def classify(self, case, pre, post):
+        store, problems = case.store, []
+        oid = case.oids[self.victim]
         recovered = bytes(
-            rebuild_content(
-                store.shards[victim], store.local_oid(oids[victim])
+            rebuild_content(store.shards[self.victim], store.local_oid(oid))
+        )
+        outcome = {pre[oid]: "pre", post[oid]: "post"}.get(recovered, "")
+        if not outcome:
+            problems.append(
+                "victim rebuilt content matching neither batch-start nor "
+                "batch-end"
             )
-        )
-        assert recovered in (pre[victim], post[victim]), (
-            f"{scheme}: crash at write {k}/{n_writes} on shard {victim} "
-            "rebuilt content matching neither batch-start nor batch-end"
-        )
-        seen.add("post" if recovered == post[victim] else "pre")
-        # Sibling: fully committed (ran before the victim) or untouched
-        # (victim crashed first); its own checksums are intact either way.
-        assert not store.shards[sibling].env.disk.verify_checksums()
-        sibling_content = bytes(
-            store.read(oids[sibling], 0, store.size(oids[sibling]))
-        )
-        if sibling < victim:
-            assert sibling_content == post[sibling]
-        else:
-            assert sibling_content == pre[sibling]
-    assert "pre" in seen  # the earliest crash must predate the commit
+        sibling = 1 - self.victim
+        if store.shards[sibling].env.disk.verify_checksums():
+            problems.append("sibling checksum damage")
+        other = case.oids[sibling]
+        expected = (post if sibling < self.victim else pre)[other]
+        if bytes(store.read(other, 0, store.size(other))) != expected:
+            problems.append("sibling is neither committed nor untouched")
+        return outcome, problems
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("victim", (0, 1))
+def test_cross_shard_crash_never_corrupts_siblings(
+    scheme: str, victim: int
+) -> None:
+    """Sweep a crash over every write of one shard's sub-batch."""
+    report = sweep(VictimCrash(scheme, victim), ("crash",))
+    assert report.clean, "\n".join(report.failure_lines())
+    # The earliest crash must predate the commit.
+    assert "pre" in {o.outcome for o in report.outcomes}
 
 
 # ----------------------------------------------------------------------

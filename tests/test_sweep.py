@@ -1,4 +1,4 @@
-"""Tests for the exhaustive crash sweep (repro.recovery.sweep).
+"""Tests for the crash-sweep harness (repro.recovery.sweep).
 
 The sweep is itself a verification harness, so the tests here check
 both directions: shadowing stores survive a crash at *every* physical
@@ -12,10 +12,12 @@ import pytest
 from repro.recovery.sweep import (
     MUTATING_OPS,
     SWEEP_SCHEMES,
+    BatchScenario,
+    OpScenario,
     SweepReport,
     cli_main,
     run_sweep,
-    sweep_operation,
+    sweep,
 )
 
 
@@ -23,25 +25,27 @@ class TestExhaustiveSweep:
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     @pytest.mark.parametrize("op", MUTATING_OPS)
     def test_every_crash_point_recovers(self, scheme, op):
-        report = sweep_operation(scheme, op)
+        report = sweep(OpScenario(scheme, op), ("crash",))
         assert report.clean, report.summary()
         assert report.outcomes, "sweep must exercise at least one crash"
         # Every crash landed before the (uncharged) commit write, so every
         # image rebuilds to the committed pre-state (or, for create, to no
         # object at all).
         assert all(
-            o.recovered_to in ("pre", "absent") for o in report.outcomes
+            o.outcome in ("pre", "absent") for o in report.outcomes
         )
 
     @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
     def test_torn_writes_never_damage_committed_state(self, scheme):
-        report = sweep_operation(scheme, "append", torn=True)
+        report = sweep(OpScenario(scheme, "append"), ("torn",))
         assert report.clean, report.summary()
         # Appends at this scale include at least one multi-page write.
         assert report.outcomes
 
     def test_full_sweep_is_clean(self):
-        report = run_sweep(torn=True)
+        report = run_sweep(
+            [OpScenario(s, op) for s in SWEEP_SCHEMES for op in MUTATING_OPS]
+        )
         assert report.clean, report.summary()
         assert len(report.outcomes) > 30
         assert "CLEAN" in report.summary()
@@ -52,7 +56,9 @@ class TestNegativeControl:
     def test_sweep_detects_unsafe_inplace_updates(self, scheme):
         """Without shadowing, overwrites destroy committed state in place;
         the sweep must fail — proving it can detect violations at all."""
-        report = sweep_operation(scheme, "overwrite", shadowing=False)
+        report = sweep(
+            OpScenario(scheme, "overwrite", shadowing=False), ("crash",)
+        )
         assert not report.clean
         assert any(
             "neither pre- nor post-state" in failure.detail
@@ -66,10 +72,26 @@ class TestReport:
         assert SweepReport().clean
 
     def test_summary_counts_by_scheme_and_op(self):
-        report = sweep_operation("starburst", "insert")
+        report = sweep(OpScenario("starburst", "insert"), ("crash",))
         line = report.summary().splitlines()[0]
         assert line.startswith("starburst/insert:")
         assert "recovered" in line
+
+
+class TestJobs:
+    def test_report_is_identical_at_any_job_count(self):
+        """Worker processes change nothing: summary, TSV and log match."""
+        scenarios = [BatchScenario(scheme, 2) for scheme in SWEEP_SCHEMES]
+        kinds = ("crash", "torn", "transient")
+        serial = run_sweep(scenarios, kinds, jobs=1)
+        parallel = run_sweep(scenarios, kinds, jobs=2)
+        assert serial.clean, serial.summary()
+        assert parallel.summary() == serial.summary()
+        assert (
+            parallel.classification_table()
+            == serial.classification_table()
+        )
+        assert parallel.log.summary() == serial.log.summary()
 
 
 class TestChaosCLI:
