@@ -23,7 +23,7 @@ from repro.buddy.area import DATA_AREA_BASE, META_AREA_BASE
 from repro.core.env import StorageEnvironment
 from repro.core.errors import InvalidArgumentError
 from repro.starburst.descriptor import LongFieldDescriptor
-from repro.tree.node import IndexNode
+from repro.tree.node import IndexNode, LeafExtent
 
 __all__ = [
     "rebuild_blockbased_content",
@@ -66,16 +66,17 @@ def _walk_node(env, page_id, is_root, leaf_alloc_pages, pieces, runs) -> None:
     )
     if runs is not None:
         runs.append((page_id, 1))
-    for entry in node.entries:
-        if node.is_leaf_parent:
-            extent = entry.ref
-            used = extent.used_pages(env.config.page_size)
-            raw = env.disk.peek_pages(extent.page_id, used)
-            pieces.append(raw[: extent.used_bytes])
-            if runs is not None:
-                runs.append((extent.page_id, used))
-        else:
-            _walk_node(env, entry.ref, False, leaf_alloc_pages, pieces, runs)
+    if not node.is_leaf_parent:
+        for child in node.refs:
+            _walk_node(env, child, False, leaf_alloc_pages, pieces, runs)
+        return
+    for extent in node.refs:
+        assert isinstance(extent, LeafExtent)
+        used = extent.used_pages(env.config.page_size)
+        raw = env.disk.peek_pages(extent.page_id, used)
+        pieces.append(raw[: extent.used_bytes])
+        if runs is not None:
+            runs.append((extent.page_id, used))
 
 
 def rebuild_starburst_content(

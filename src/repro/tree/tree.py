@@ -19,7 +19,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import dataclasses
-import itertools
 from typing import Callable, ContextManager, Iterator
 
 from repro.buddy.allocator import BuddyAllocator
@@ -27,7 +26,7 @@ from repro.buffer.pool import BufferPool
 from repro.core.config import SystemConfig
 from repro.core.errors import ByteRangeError, StorageCorruptionError
 from repro.recovery.shadow import DEFAULT_SHADOW, ShadowPolicy
-from repro.tree.node import Entry, IndexNode, LeafExtent
+from repro.tree.node import IndexNode, LeafExtent
 
 #: Signature of the hook that recomputes a segment's allocated page count
 #: when a node is rebuilt from disk: (used_bytes, is_rightmost) -> pages.
@@ -131,8 +130,8 @@ class PositionalTree:
         """Read every index node under ``node``, depth first."""
         if node.is_leaf_parent:
             return
-        for entry in node.entries:
-            self._load_below(self._get_node(entry.ref))
+        for ref in node.refs:
+            self._load_below(self._get_node(ref))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -297,7 +296,7 @@ class PositionalTree:
                 f"offset {offset} outside object of {self.total_bytes} bytes"
             )
         node = self._get_node(self.root_page_id)
-        if not node.entries:
+        if not node.counts:
             raise ByteRangeError("object is empty")
         path: list[tuple[IndexNode, int]] = []
         if offset == self.total_bytes:
@@ -305,27 +304,27 @@ class PositionalTree:
             # descent needs no cumulative counts or bisection at all —
             # the rightmost extent starts ``used_bytes`` before the end.
             while True:
-                index = len(node.entries) - 1
+                index = len(node.refs) - 1
                 path.append((node, index))
-                entry = node.entries[index]
+                ref = node.refs[index]
                 if node.is_leaf_parent:
-                    assert isinstance(entry.ref, LeafExtent)
+                    assert isinstance(ref, LeafExtent)
                     return Cursor(
-                        extent=entry.ref,
-                        extent_start=offset - entry.ref.used_bytes,
+                        extent=ref,
+                        extent_start=offset - ref.used_bytes,
                         path=path,
                     )
-                node = self._get_node(entry.ref)
+                node = self._get_node(ref)
         start = 0
         while True:
             index, child_start = _choose_child(node, offset - start)
             start += child_start
             path.append((node, index))
-            entry = node.entries[index]
+            ref = node.refs[index]
             if node.is_leaf_parent:
-                assert isinstance(entry.ref, LeafExtent)
-                return Cursor(extent=entry.ref, extent_start=start, path=path)
-            node = self._get_node(entry.ref)
+                assert isinstance(ref, LeafExtent)
+                return Cursor(extent=ref, extent_start=start, path=path)
+            node = self._get_node(ref)
 
     def extents_covering(
         self, offset: int, nbytes: int
@@ -378,7 +377,7 @@ class PositionalTree:
                 if self.root_page_id is not None
                 else None
             )
-            if root is None or not root.entries:
+            if root is None or not root.counts:
                 return
         if charged:
             cursor = self.locate(0)
@@ -437,12 +436,11 @@ class PositionalTree:
         if alloc_pages is not None:
             extent.alloc_pages = alloc_pages
         node, index = cursor.path[-1]
-        node.entries[index].bytes_count = extent.used_bytes
-        node.counts_changed(index)
+        if page_id is not None:
+            node.set_ref(index, extent)
         if delta:
-            for ancestor, child_index in cursor.path[:-1]:
-                ancestor.entries[child_index].bytes_count += delta
-                ancestor.counts_changed(child_index)
+            for ancestor, child_index in cursor.path:
+                ancestor.add(child_index, delta)
             self.total_bytes += delta
         self._shadow_path(cursor.path)
 
@@ -484,9 +482,8 @@ class PositionalTree:
         if not 0 <= position <= self.total_bytes:
             raise ByteRangeError("insert position outside object")
         root = self._get_node(self.root_page_id)
-        if not root.entries:
-            root.entries.append(Entry(extent.used_bytes, extent))
-            root.counts_changed()
+        if not root.counts:
+            root.insert(0, extent.used_bytes, extent)
             self.total_bytes += extent.used_bytes
             self._mark_node_dirty(root)
             return
@@ -498,24 +495,21 @@ class PositionalTree:
             # its last child and the entry lands at the end of the leaf
             # parent — no cumulative counts or bisection needed.
             while not node.is_leaf_parent:
-                index = len(node.entries) - 1
+                index = len(node.refs) - 1
                 path.append((node, index))
-                node = self._get_node(node.entries[index].ref)
-            insert_at = len(node.entries)
+                node = self._get_node(node.refs[index])
+            insert_at = len(node.refs)
         else:
             start = 0
             while not node.is_leaf_parent:
-                index, child_start = _choose_child(node, position - start,
-                                                   for_boundary=True)
+                index, child_start = _choose_child(node, position - start)
                 start += child_start
                 path.append((node, index))
-                node = self._get_node(node.entries[index].ref)
+                node = self._get_node(node.refs[index])
             insert_at = _boundary_index(node, position - start)
-        node.entries.insert(insert_at, Entry(extent.used_bytes, extent))
-        node.counts_changed(insert_at)
+        node.insert(insert_at, extent.used_bytes, extent)
         for ancestor, child_index in path:
-            ancestor.entries[child_index].bytes_count += extent.used_bytes
-            ancestor.counts_changed(child_index)
+            ancestor.add(child_index, extent.used_bytes)
         self.total_bytes += extent.used_bytes
         self._shadow_path(path + [(node, insert_at)])
         self._fix_overflow(path, node)
@@ -529,15 +523,13 @@ class PositionalTree:
                 f"byte {position} is not an extent boundary"
             )
         node, index = cursor.path[-1]
-        removed = node.entries.pop(index)
-        node.counts_changed(index)
+        removed, _extent = node.pop(index)
         for ancestor, child_index in cursor.path[:-1]:
-            ancestor.entries[child_index].bytes_count -= removed.bytes_count
-            ancestor.counts_changed(child_index)
-        self.total_bytes -= removed.bytes_count
+            ancestor.add(child_index, -removed)
+        self.total_bytes -= removed
         self._shadow_path(cursor.path[:-1] + [(node, None)])
         self._fix_underflow(cursor.path[:-1], node)
-        return removed.bytes_count
+        return removed
 
     # ------------------------------------------------------------------
     # Rebalancing
@@ -558,23 +550,16 @@ class PositionalTree:
     def _fix_overflow(
         self, path: list[tuple[IndexNode, int]], node: IndexNode
     ) -> None:
-        while len(node.entries) > self._max_fanout(node):
+        while len(node.counts) > self._max_fanout(node):
             if node.page_id == self.root_page_id:
                 self._split_root(node)
                 return
             parent, child_index = path[-1]
             self._event("tree.split.node", level=node.level)
             sibling = self._new_node(node.level)
-            half = len(node.entries) // 2
-            sibling.entries = node.entries[half:]
-            sibling.counts_changed()
-            node.entries = node.entries[:half]
-            node.counts_changed(half)
-            parent.entries[child_index].bytes_count = node.total_bytes
-            parent.entries.insert(
-                child_index + 1, Entry(sibling.total_bytes, sibling.page_id)
-            )
-            parent.counts_changed(child_index)
+            sibling.extend(*node.split_off(len(node.counts) // 2))
+            parent.add(child_index, -sibling.total_bytes)
+            parent.insert(child_index + 1, sibling.total_bytes, sibling.page_id)
             self._mark_node_dirty(node)
             self._mark_node_dirty(sibling)
             self._shadow_path(path[:-1] + [(parent, None)])
@@ -588,16 +573,12 @@ class PositionalTree:
         )
         left = self._new_node(root.level)
         right = self._new_node(root.level)
-        half = len(root.entries) // 2
-        left.entries = root.entries[:half]
-        left.counts_changed()
-        right.entries = root.entries[half:]
-        right.counts_changed()
-        root.entries = [
-            Entry(left.total_bytes, left.page_id),
-            Entry(right.total_bytes, right.page_id),
-        ]
-        root.counts_changed()
+        right.extend(*root.split_off(len(root.counts) // 2))
+        left.extend(root.counts, root.refs)
+        root.replace_all(
+            [left.total_bytes, right.total_bytes],
+            [left.page_id, right.page_id],
+        )
         root.level += 1
         self.height += 1
         self._mark_node_dirty(left)
@@ -611,7 +592,7 @@ class PositionalTree:
             if node.page_id == self.root_page_id:
                 self._maybe_collapse_root(node)
                 return
-            if len(node.entries) >= self._min_fanout(node):
+            if len(node.counts) >= self._min_fanout(node):
                 return
             parent, child_index = path[-1]
             merged = self._borrow_or_merge(parent, child_index, node)
@@ -626,40 +607,34 @@ class PositionalTree:
         """Fix an underfull child; returns True if a merge removed an entry
         from the parent (which may itself now be underfull)."""
         left_sibling = (
-            self._get_node(parent.entries[child_index - 1].ref)
+            self._get_node(parent.refs[child_index - 1])
             if child_index > 0
             else None
         )
         right_sibling = (
-            self._get_node(parent.entries[child_index + 1].ref)
-            if child_index + 1 < len(parent.entries)
+            self._get_node(parent.refs[child_index + 1])
+            if child_index + 1 < len(parent.refs)
             else None
         )
         minimum = self._min_fanout(node)
-        if left_sibling is not None and len(left_sibling.entries) > minimum:
+        if left_sibling is not None and len(left_sibling.counts) > minimum:
             self._event("tree.borrow", level=node.level, source="left")
             self._relocate_if_needed(left_sibling, (parent, child_index - 1))
-            moved = left_sibling.entries.pop()
-            left_sibling.counts_changed(len(left_sibling.entries))
-            node.entries.insert(0, moved)
-            node.counts_changed()
-            parent.entries[child_index - 1].bytes_count -= moved.bytes_count
-            parent.entries[child_index].bytes_count += moved.bytes_count
-            parent.counts_changed(child_index - 1)
+            moved, ref = left_sibling.pop()
+            node.insert(0, moved, ref)
+            parent.add(child_index - 1, -moved)
+            parent.add(child_index, moved)
             self._mark_node_dirty(left_sibling)
             self._mark_node_dirty(node)
             self._mark_node_dirty(parent)
             return False
-        if right_sibling is not None and len(right_sibling.entries) > minimum:
+        if right_sibling is not None and len(right_sibling.counts) > minimum:
             self._event("tree.borrow", level=node.level, source="right")
             self._relocate_if_needed(right_sibling, (parent, child_index + 1))
-            moved = right_sibling.entries.pop(0)
-            right_sibling.counts_changed()
-            node.entries.append(moved)
-            node.counts_changed(len(node.entries) - 1)
-            parent.entries[child_index + 1].bytes_count -= moved.bytes_count
-            parent.entries[child_index].bytes_count += moved.bytes_count
-            parent.counts_changed(child_index)
+            moved, ref = right_sibling.pop(0)
+            node.extend([moved], [ref])
+            parent.add(child_index + 1, -moved)
+            parent.add(child_index, moved)
             self._mark_node_dirty(right_sibling)
             self._mark_node_dirty(node)
             self._mark_node_dirty(parent)
@@ -677,12 +652,9 @@ class PositionalTree:
             return False
         self._event("tree.merge", level=node.level)
         self._relocate_if_needed(keeper, (parent, keeper_index))
-        keeper_old_len = len(keeper.entries)
-        keeper.entries.extend(victim.entries)
-        keeper.counts_changed(keeper_old_len)
-        parent.entries[keeper_index].bytes_count = keeper.total_bytes
-        parent.entries.pop(keeper_index + 1)
-        parent.counts_changed(keeper_index)
+        keeper.extend(victim.counts, victim.refs)
+        moved, _victim_page = parent.pop(keeper_index + 1)
+        parent.add(keeper_index, moved)
         self._drop_node(victim)
         self._mark_node_dirty(keeper)
         self._mark_node_dirty(parent)
@@ -690,15 +662,14 @@ class PositionalTree:
 
     def _maybe_collapse_root(self, root: IndexNode) -> None:
         """Shrink the height while the root has a single index child."""
-        while root.level > 1 and len(root.entries) == 1:
-            child = self._get_node(root.entries[0].ref)
-            if len(child.entries) > self.config.root_fanout:
+        while root.level > 1 and len(root.counts) == 1:
+            child = self._get_node(root.refs[0])
+            if len(child.counts) > self.config.root_fanout:
                 return
             self._event(
                 "tree.collapse.root", level=child.level, height=self.height - 1
             )
-            root.entries = child.entries
-            root.counts_changed()
+            root.replace_all(child.counts, child.refs)
             root.level = child.level
             self.height -= 1
             self._drop_node(child)
@@ -788,21 +759,14 @@ class PositionalTree:
         self.meta.free(old_page, 1)
         if parent is not None:
             parent_node, child_index = parent
-            if child_index is not None:
-                parent_node.entries[child_index].ref = new_page
-                parent_node.counts_changed(child_index)
-            else:
-                self._repoint_child(parent_node, old_page, new_page)
-
-    def _repoint_child(
-        self, parent: IndexNode, old_page: int, new_page: int
-    ) -> None:
-        for index, entry in enumerate(parent.entries):
-            if entry.ref == old_page:
-                entry.ref = new_page
-                parent.counts_changed(index)
-                return
-        raise StorageCorruptionError("shadowed node missing from its parent")
+            if child_index is None:
+                try:
+                    child_index = parent_node.refs.index(old_page)
+                except ValueError:
+                    raise StorageCorruptionError(
+                        "shadowed node missing from its parent"
+                    ) from None
+            parent_node.set_ref(child_index, new_page)
 
     def _serialize_node(self, node: IndexNode) -> bytes:
         is_root = node.page_id == self.root_page_id
@@ -823,14 +787,13 @@ class PositionalTree:
     # Uncharged walks (verification / accounting)
     # ------------------------------------------------------------------
     def _iter_extents_uncharged(self, node: IndexNode) -> Iterator[LeafExtent]:
-        for entry in node.entries:
-            if node.is_leaf_parent:
-                assert isinstance(entry.ref, LeafExtent)
-                yield entry.ref
-            else:
-                yield from self._iter_extents_uncharged(
-                    self._peek_node(entry.ref)
-                )
+        if node.is_leaf_parent:
+            for extent in node.refs:
+                assert isinstance(extent, LeafExtent)
+                yield extent
+            return
+        for ref in node.refs:
+            yield from self._iter_extents_uncharged(self._peek_node(ref))
 
     def _walk_nodes(self) -> Iterator[IndexNode]:
         if self.root_page_id is None:
@@ -840,19 +803,17 @@ class PositionalTree:
             node = stack.pop()
             yield node
             if not node.is_leaf_parent:
-                stack.extend(
-                    self._peek_node(entry.ref) for entry in node.entries
-                )
+                stack.extend(self._peek_node(ref) for ref in node.refs)
 
     def _rightmost_extent_uncharged(self) -> LeafExtent | None:
         if self.root_page_id is None:
             return None
         node = self._peek_node(self.root_page_id)
-        while node.entries and not node.is_leaf_parent:
-            node = self._peek_node(node.entries[-1].ref)
-        if not node.entries:
+        while node.refs and not node.is_leaf_parent:
+            node = self._peek_node(node.refs[-1])
+        if not node.refs:
             return None
-        ref = node.entries[-1].ref
+        ref = node.refs[-1]
         assert isinstance(ref, LeafExtent)
         return ref
 
@@ -863,7 +824,7 @@ class PositionalTree:
         depth = len(path) - 1
         while depth >= 0:
             node, index = path[depth]
-            if index + 1 < len(node.entries):
+            if index + 1 < len(node.refs):
                 break
             depth -= 1
         if depth < 0:
@@ -874,12 +835,12 @@ class PositionalTree:
         node_start = self._path_prefix_bytes(path)
         node = path[-1][0]
         while not node.is_leaf_parent:
-            child = self._get_node(node.entries[path[-1][1]].ref)
+            child = self._get_node(node.refs[path[-1][1]])
             path.append((child, 0))
             node = child
-        entry = node.entries[path[-1][1]]
-        assert isinstance(entry.ref, LeafExtent)
-        return entry.ref, node_start
+        ref = node.refs[path[-1][1]]
+        assert isinstance(ref, LeafExtent)
+        return ref, node_start
 
     def _path_prefix_bytes(self, path: list[tuple[IndexNode, int]]) -> int:
         """Byte offset of the entry selected by the path's last element."""
@@ -904,42 +865,42 @@ class PositionalTree:
         )
 
     def _check_subtree(self, node: IndexNode, is_root: bool) -> int:
-        assert len(node.entries) <= self._max_fanout(node), "node overfull"
+        assert len(node.counts) <= self._max_fanout(node), "node overfull"
         if not is_root:
-            assert len(node.entries) >= self._min_fanout(node), "node underfull"
+            assert len(node.counts) >= self._min_fanout(node), "node underfull"
+        assert len(node.counts) == len(node.refs), "count/pointer lists differ"
         total = 0
-        for entry in node.entries:
+        for count, ref in zip(node.counts, node.refs):
             if node.is_leaf_parent:
-                extent = entry.ref
+                extent = ref
                 assert isinstance(extent, LeafExtent)
-                assert entry.bytes_count == extent.used_bytes, "count mismatch"
+                assert count == extent.used_bytes, "count mismatch"
                 assert extent.used_bytes > 0, "empty extent"
                 assert extent.alloc_pages >= extent.used_pages(
                     self.config.page_size
                 ), "extent data exceeds allocation"
             else:
-                child = self._peek_node(entry.ref)
+                child = self._peek_node(ref)
                 assert child.level == node.level - 1, "level mismatch"
                 child_total = self._check_subtree(child, is_root=False)
-                assert child_total == entry.bytes_count, "subtree count drift"
-            total += entry.bytes_count
+                assert child_total == count, "subtree count drift"
+            total += count
         return total
 
 
 # ----------------------------------------------------------------------
 # Descent helpers
 # ----------------------------------------------------------------------
-def _choose_child(
-    node: IndexNode, offset: int, for_boundary: bool = False
-) -> tuple[int, int]:
+def _choose_child(node: IndexNode, offset: int) -> tuple[int, int]:
     """Pick the child covering ``offset`` (bytes relative to the node).
 
     Returns (child index, byte offset of that child within the node).  An
     offset equal to a boundary between children selects the right-hand
     child; an offset equal to the node's total selects the last child.
     """
-    cumulative = node.cums()
-    # First child whose cumulative total exceeds the offset; an offset at
+    cumulative = node.prefix_past(offset)
+    # First child whose cumulative total exceeds the offset; the prefix
+    # ends at such a child unless it covers every entry, so an offset at
     # or past the node total clamps to the last child.
     index = bisect.bisect_right(cumulative, offset)
     if index >= len(cumulative):
@@ -952,9 +913,9 @@ def _boundary_index(node: IndexNode, offset: int) -> int:
     to the node) must be inserted.  ``offset`` must be a boundary."""
     if offset == 0:
         return 0
-    cumulative = node.cums()
+    cumulative = node.prefix_past(offset)
     # The entry inserted at index i starts at the cumulative total of the
-    # first i entries, so a boundary offset must appear in ``cumulative``.
+    # first i entries, so a boundary offset must appear in the prefix.
     index = bisect.bisect_left(cumulative, offset)
     if index < len(cumulative) and cumulative[index] == offset:
         return index + 1

@@ -228,7 +228,7 @@ class TestPinLeakRegressions:
         tree.end_op()
         assert tree.height >= 2
         root = tree._get_node(tree.root_page_id)
-        child = root.entries[0].ref
+        child = root.refs[0]
         assert isinstance(child, int)
         del tree._nodes[child]  # force the reload path
 
