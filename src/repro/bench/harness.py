@@ -32,7 +32,6 @@ from repro.shard.router import ShardedStore
 from repro.experiments.common import (
     KB,
     Scale,
-    build_object,
     build_object_batched,
     make_store,
 )
@@ -266,24 +265,20 @@ def measure_build(
     scheme: str,
     scale: Scale,
     traced: bool = False,
-    batched: bool = True,
     health: bool = False,
 ) -> BenchPoint:
     """Time building one object with fixed-size appends.
 
-    ``batched`` (the default) submits the appends as one op batch
-    through the batch engine; ``batched=False`` keeps the original
-    per-op dispatch.  Simulated fields are bit-identical either way —
-    only ``wall_s`` differs.
+    The appends go to the batch engine as one op batch; simulated fields
+    are bit-identical to per-op dispatch, only ``wall_s`` differs.
     """
-    build = build_object_batched if batched else build_object
     tracer = Tracer(meta={"point": f"build/{scheme}"}) if traced else None
     with _ambient(tracer):
         store = _bench_store(scheme)
         before = store.snapshot()
         with _phase(tracer, "bench.measure"):
             start = time.perf_counter()
-            build(store, scale.object_bytes, CHUNK_KB * KB)
+            build_object_batched(store, scale.object_bytes, CHUNK_KB * KB)
             wall = time.perf_counter() - start
     return _point(f"build/{scheme}", store, wall, before, tracer, health)
 
@@ -292,34 +287,28 @@ def measure_scan(
     scheme: str,
     scale: Scale,
     traced: bool = False,
-    batched: bool = True,
     health: bool = False,
 ) -> BenchPoint:
     """Time a full sequential scan of a prebuilt object (build untimed).
 
-    The batched variant submits the whole scan as one batch of reads.
+    The whole scan is submitted as one batch of reads.
     """
-    build = build_object_batched if batched else build_object
     tracer = Tracer(meta={"point": f"scan/{scheme}"}) if traced else None
     with _ambient(tracer):
         store = _bench_store(scheme)
         with _phase(tracer, "bench.setup"):
-            oid = build(store, scale.object_bytes, CHUNK_KB * KB)
+            oid = build_object_batched(
+                store, scale.object_bytes, CHUNK_KB * KB
+            )
         before = store.snapshot()
         with _phase(tracer, "bench.measure"):
             start = time.perf_counter()
             size = store.size(oid)
             chunk = CHUNK_KB * KB
-            if batched:
-                store.submit_ops(oid, [
-                    read_op(position, min(chunk, size - position))
-                    for position in range(0, size, chunk)
-                ])
-            else:
-                position = 0
-                while position < size:
-                    store.read(oid, position, min(chunk, size - position))
-                    position += chunk
+            store.submit_ops(oid, [
+                read_op(position, min(chunk, size - position))
+                for position in range(0, size, chunk)
+            ])
             wall = time.perf_counter() - start
     return _point(f"scan/{scheme}", store, wall, before, tracer, health)
 
@@ -328,16 +317,16 @@ def measure_random(
     scheme: str,
     scale: Scale,
     traced: bool = False,
-    batched: bool = True,
     health: bool = False,
 ) -> BenchPoint:
     """Time the 40/30/30 random-update mix on a prebuilt object."""
-    build = build_object_batched if batched else build_object
     tracer = Tracer(meta={"point": f"random/{scheme}"}) if traced else None
     with _ambient(tracer):
         store = _bench_store(scheme)
         with _phase(tracer, "bench.setup"):
-            oid = build(store, scale.object_bytes, CHUNK_KB * KB)
+            oid = build_object_batched(
+                store, scale.object_bytes, CHUNK_KB * KB
+            )
         n_ops = scale.starburst_ops if scheme == "starburst" else scale.n_ops
         generator = WorkloadGenerator(
             object_size=store.size(oid),
@@ -348,10 +337,7 @@ def measure_random(
         before = store.snapshot()
         with _phase(tracer, "bench.measure"):
             start = time.perf_counter()
-            if batched:
-                runner.run_batched(n_ops, window=max(1, n_ops))
-            else:
-                runner.run(n_ops, window=max(1, n_ops))
+            runner.run_batched(n_ops, window=max(1, n_ops))
             wall = time.perf_counter() - start
     return _point(f"random/{scheme}", store, wall, before, tracer, health)
 

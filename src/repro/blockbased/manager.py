@@ -282,6 +282,26 @@ class BlockBasedManager(LargeObjectManager):
         """The object's data pages (for tests and inspection)."""
         return list(self._pages(oid))
 
+    # ------------------------------------------------------------------
+    # The disk image
+    # ------------------------------------------------------------------
+    def oids(self) -> list[int]:
+        """Every live object id, ascending."""
+        return sorted(self._objects)
+
+    def mount(self, oid: int) -> None:
+        """Decode the object's directory chain from its page images."""
+        pages, directory = self.load_directory_chain(self.env, oid)
+        self._objects[oid] = pages
+        self._directories[oid] = directory
+
+    def page_runs(
+        self, oid: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """One run per data page, and one per directory page."""
+        data = [(page.page_id, 1) for page in self._pages(oid)]
+        return data, [(page_id, 1) for page_id in self._directories[oid]]
+
     def check_invariants(self, oid: int) -> None:
         """Verify page counts and directory capacity; for tests."""
         pages = self._pages(oid)
@@ -403,7 +423,7 @@ class BlockBasedManager(LargeObjectManager):
         """Decode one directory page image.
 
         Returns the page's slots and the next directory page id in the
-        chain (or None).  Used by reopen and crash-recovery paths.
+        chain (or None).
         """
         magic, n_slots, _pad, next_link = _DIR_HEADER.unpack_from(image)
         if magic != _DIR_MAGIC:
@@ -421,12 +441,18 @@ class BlockBasedManager(LargeObjectManager):
     @classmethod
     def load_directory_chain(
         cls, env: StorageEnvironment, first_page: int
-    ) -> list[DataPage]:
-        """Decode the whole directory chain starting at ``first_page``."""
+    ) -> tuple[list[DataPage], list[int]]:
+        """Decode the whole directory chain starting at ``first_page``.
+
+        Returns the data pages in object order and the directory page
+        ids in chain order.
+        """
         pages: list[DataPage] = []
+        directory: list[int] = []
         current: int | None = first_page
         while current is not None:
+            directory.append(current)
             image = env.disk.peek_pages(current, 1)
             slots, current = cls.load_directory(env, image)
             pages.extend(slots)
-        return pages
+        return pages, directory

@@ -21,13 +21,11 @@ debugging aid when developing new update algorithms.
 from __future__ import annotations
 
 import dataclasses
+from typing import Container
 
-from repro.blockbased.manager import BlockBasedManager
 from repro.buddy.allocator import BuddyAllocator
 from repro.core.errors import AllocationError, InvalidArgumentError
 from repro.core.manager import LargeObjectManager
-from repro.starburst.manager import StarburstManager
-from repro.tree.backed import TreeBackedManager
 
 
 @dataclasses.dataclass
@@ -72,37 +70,30 @@ class FsckReport:
         )
 
 
-def object_page_runs(
-    manager: LargeObjectManager, oid: int
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(data runs, meta runs) of pages one object references.
+def referenced_pages(
+    managers_and_oids: list[tuple[LargeObjectManager, list[int]]],
+) -> tuple[dict[int, int], dict[int, int], set[int]]:
+    """Pages the given objects reference, from each manager's page runs.
 
-    Runs are (first page id, page count) pairs over *allocated* pages —
-    including append slack, which is allocated even when not yet used.
+    Returns (data page -> object id, meta page -> object id, pages
+    claimed more than once).
     """
-    data_runs: list[tuple[int, int]] = []
-    meta_runs: list[tuple[int, int]] = []
-    if isinstance(manager, TreeBackedManager):
-        tree = manager.tree_of(oid)
-        for extent in tree.iter_extents(charged=False):
-            data_runs.append((extent.page_id, extent.alloc_pages))
-        meta_runs.extend(
-            (node.page_id, 1) for node in tree._walk_nodes()
-        )
-    elif isinstance(manager, StarburstManager):
-        descriptor = manager.descriptor_of(oid)
-        for segment in descriptor.segments:
-            data_runs.append((segment.page_id, segment.alloc_pages))
-        meta_runs.append((descriptor.page_id, 1))
-    elif isinstance(manager, BlockBasedManager):
-        for page in manager.pages_of(oid):
-            data_runs.append((page.page_id, 1))
-        meta_runs.extend(
-            (page_id, 1) for page_id in manager._directories[oid]
-        )
-    else:  # pragma: no cover - future manager kinds
-        raise InvalidArgumentError(f"cannot fsck manager of type {type(manager)!r}")
-    return data_runs, meta_runs
+    referenced_data: dict[int, int] = {}
+    referenced_meta: dict[int, int] = {}
+    double: set[int] = set()
+    for manager, oids in managers_and_oids:
+        for oid in oids:
+            data_runs, meta_runs = manager.page_runs(oid)
+            for runs, referenced in (
+                (data_runs, referenced_data),
+                (meta_runs, referenced_meta),
+            ):
+                for start, count in runs:
+                    for page in range(start, start + count):
+                        if page in referenced:
+                            double.add(page)
+                        referenced[page] = oid
+    return referenced_data, referenced_meta, double
 
 
 def check(
@@ -127,27 +118,14 @@ def check(
     if not managers_and_oids:
         raise InvalidArgumentError("nothing to check")
     env = managers_and_oids[0][0].env
-    referenced_data: dict[int, int] = {}
-    referenced_meta: dict[int, int] = {}
-    dangling: list[tuple[int, int]] = []
-    double: set[int] = set()
-
-    for manager, oids in managers_and_oids:
-        if manager.env is not env:
-            raise InvalidArgumentError("managers do not share an environment")
-        for oid in oids:
-            data_runs, meta_runs = object_page_runs(manager, oid)
-            for runs, referenced in (
-                (data_runs, referenced_data),
-                (meta_runs, referenced_meta),
-            ):
-                for start, count in runs:
-                    for page in range(start, start + count):
-                        if page in referenced:
-                            double.add(page)
-                        referenced[page] = oid
+    if any(manager.env is not env for manager, _ in managers_and_oids):
+        raise InvalidArgumentError("managers do not share an environment")
+    referenced_data, referenced_meta, double = referenced_pages(
+        managers_and_oids
+    )
 
     # Dangling: referenced but not allocated.
+    dangling: list[tuple[int, int]] = []
     for referenced, allocator in (
         (referenced_data, env.areas.data),
         (referenced_meta, env.areas.meta),
@@ -162,17 +140,15 @@ def check(
         journal_pages |= journal.pages()
         residue |= set(journal.residue_pages())
 
-    leaked_data = _allocated_not_referenced(env.areas.data, referenced_data)
-    leaked_meta = [
-        page
-        for page in _allocated_not_referenced(env.areas.meta, referenced_meta)
-        if page not in journal_pages
-    ]
     return FsckReport(
         dangling=sorted(dangling),
         doubly_referenced=sorted(double),
-        leaked_data_pages=leaked_data,
-        leaked_meta_pages=leaked_meta,
+        leaked_data_pages=allocated_unreferenced(
+            env.areas.data, referenced_data
+        ),
+        leaked_meta_pages=allocated_unreferenced(
+            env.areas.meta, referenced_meta, journal_pages
+        ),
         corrupt_pages=env.disk.verify_checksums(),
         journal_residue=sorted(residue),
     )
@@ -356,9 +332,12 @@ def _is_allocated(allocator: BuddyAllocator, page_id: int) -> bool:
     return allocator._spaces[space_index].is_block_allocated(offset)
 
 
-def _allocated_not_referenced(
-    allocator: BuddyAllocator, referenced: dict[int, int]
+def allocated_unreferenced(
+    allocator: BuddyAllocator,
+    referenced: Container[int],
+    keep: Container[int] = frozenset(),
 ) -> list[int]:
+    """Allocated pages neither referenced nor in ``keep``, ascending."""
     leaked = []
     for index in range(allocator.space_count):
         space = allocator._spaces[index]
@@ -366,6 +345,6 @@ def _allocated_not_referenced(
         for offset in range(space.total_blocks):
             if space.is_block_allocated(offset):
                 page = base + offset
-                if page not in referenced:
+                if page not in referenced and page not in keep:
                     leaked.append(page)
     return leaked

@@ -14,7 +14,11 @@ import contextlib
 from typing import ContextManager, Sequence
 
 from repro.core.env import StorageEnvironment
-from repro.core.errors import ByteRangeError, ObjectNotFoundError
+from repro.core.errors import (
+    ByteRangeError,
+    InvalidArgumentError,
+    ObjectNotFoundError,
+)
 from repro.core.payload import Payload
 from repro.exec.engine import BatchResult
 from repro.exec.plan import BatchOp, MultiOp
@@ -173,6 +177,41 @@ class LargeObjectManager(abc.ABC):
         if pages == 0:
             return 1.0
         return self.size(oid) / (pages * self.config.page_size)
+
+    # ------------------------------------------------------------------
+    # The disk image
+    # ------------------------------------------------------------------
+    # Not abstract: these serve recovery and checking, not the paper's
+    # byte-range interface, so the reads a mount charges belong to the
+    # recovery that calls it rather than to an ``op.*`` span.  A manager
+    # kind without them cannot be checked, probed or recovered.
+    def oids(self) -> list[int]:
+        """Every live object id, ascending."""
+        raise self._no_image_interface()
+
+    def mount(self, oid: int) -> None:
+        """Rebuild the object's in-memory structure from the disk image.
+
+        The rebuilt structure replaces whatever the manager held for
+        ``oid``, as after a reboot; allocator state is not touched.
+        """
+        raise self._no_image_interface()
+
+    def page_runs(
+        self, oid: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """(data runs, meta runs) of pages the object references.
+
+        Runs are (first page id, page count) pairs over *allocated*
+        pages — including append slack, which is allocated even when
+        not yet used.
+        """
+        raise self._no_image_interface()
+
+    def _no_image_interface(self) -> InvalidArgumentError:
+        return InvalidArgumentError(
+            f"{type(self).__name__} has no disk-image interface"
+        )
 
     # ------------------------------------------------------------------
     # Shared validation helpers

@@ -4,8 +4,9 @@
 module turns it into a usable store again.  Recovery works *from the
 disk image alone*: every shard's in-memory state — buffer pool frames,
 positional trees, long-field descriptors — is considered lost, exactly
-as a machine reboot loses RAM, and is rebuilt from raw page images
-before the journal is consulted.
+as a machine reboot loses RAM, and every object is mounted from the
+disk image (the manager's own ``mount``) before the journal is
+consulted.
 
 The per-shard decision table (``state`` is the shard's parsed
 :class:`~repro.atomic.journal.JournalState`; "decided" means the batch's
@@ -32,7 +33,7 @@ PREPARE, no APPLIED          no        ``rolled-back`` — the image is
                                        CLEAN
 ===========================  ========  ===================================
 
-Reclamation is space reconciliation: after the objects are reloaded
+Reclamation is space reconciliation: after the objects are mounted
 from the image, any allocated page that no object references — and that
 is not part of the reserved journal region — is an orphan of the
 crashed execution (shadow pages never committed, or old pages whose
@@ -47,18 +48,19 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-from typing import TYPE_CHECKING, ContextManager, Iterable
+from typing import TYPE_CHECKING, Container, ContextManager
 
 from repro.atomic.journal import PREPARE, IntentJournal
-from repro.buddy.area import DATA_AREA_BASE
 from repro.buddy.allocator import BuddyAllocator
+from repro.core.api import SCHEMES
 from repro.core.errors import InvalidArgumentError
-from repro.core.fsck import FsckReport, check, object_page_runs
+from repro.core.fsck import (
+    FsckReport,
+    allocated_unreferenced,
+    check,
+    referenced_pages,
+)
 from repro.experiments.parallel import DegradationLog
-from repro.starburst.descriptor import LongFieldDescriptor
-from repro.starburst.manager import StarburstManager
-from repro.tree.backed import TreeBackedManager
-from repro.tree.tree import PositionalTree
 
 if TYPE_CHECKING:
     from repro.core.api import LargeObjectStore
@@ -69,6 +71,7 @@ __all__ = [
     "ShardRecovery",
     "fsck_sharded_store",
     "reboot_sharded_store",
+    "reboot_store",
     "recover_sharded_store",
     "resolve_sharded_store",
 ]
@@ -121,68 +124,10 @@ class RecoveryReport:
 
 
 # ----------------------------------------------------------------------
-# Rebuilding in-memory object state from raw page images
-# ----------------------------------------------------------------------
-def _reload_tree(manager: TreeBackedManager, oid: int) -> PositionalTree:
-    """Reopen one positional tree from its on-disk root page."""
-    env = manager.env
-    return PositionalTree.reopen(
-        manager.config,
-        env.pool,
-        env.areas.meta,
-        oid,
-        DATA_AREA_BASE,
-        shadow=env.shadow,
-        leaf_alloc_pages=manager._leaf_alloc_pages,
-    )
-
-
-def _reload_shard_objects(shard_store: "LargeObjectStore") -> None:
-    """Rebuild every object's in-memory structure from the disk image."""
-    manager = shard_store.manager
-    if isinstance(manager, TreeBackedManager):
-        for oid in sorted(manager._objects):
-            manager._objects[oid] = _reload_tree(manager, oid)
-    elif isinstance(manager, StarburstManager):
-        env = manager.env
-        for oid in sorted(manager._fields):
-            image = env.disk.peek_pages(oid, 1)
-            manager._fields[oid] = LongFieldDescriptor.deserialize(
-                image, oid, manager.config, DATA_AREA_BASE
-            )
-    else:
-        raise InvalidArgumentError(
-            f"scheme {shard_store.scheme!r} has no atomic recovery story "
-            "(no shadowing means no rollback image)"
-        )
-
-
-# ----------------------------------------------------------------------
 # Space reconciliation
 # ----------------------------------------------------------------------
-def _referenced_pages(shard_store: "LargeObjectStore") -> tuple[
-    set[int], set[int]
-]:
-    """(data pages, meta pages) the reloaded objects reference."""
-    manager = shard_store.manager
-    if isinstance(manager, TreeBackedManager):
-        oids: Iterable[int] = manager._objects
-    else:
-        assert isinstance(manager, StarburstManager)
-        oids = manager._fields
-    data: set[int] = set()
-    meta: set[int] = set()
-    for oid in sorted(oids):
-        data_runs, meta_runs = object_page_runs(manager, oid)
-        for start, count in data_runs:
-            data.update(range(start, start + count))
-        for start, count in meta_runs:
-            meta.update(range(start, start + count))
-    return data, meta
-
-
 def _reclaim_orphans(
-    allocator: BuddyAllocator, referenced: set[int], keep: frozenset[int]
+    allocator: BuddyAllocator, referenced: Container[int], keep: frozenset[int]
 ) -> tuple[int, int, int]:
     """Free every allocated page neither referenced nor in ``keep``.
 
@@ -192,23 +137,14 @@ def _reclaim_orphans(
     two are recovery telemetry, counted whether or not anything was
     orphaned.
     """
-    orphans: list[int] = []
-    scanned = 0
-    for index in range(allocator.space_count):
-        space = allocator._spaces[index]
-        base = allocator._data_base(index)
-        scanned += space.total_blocks
-        for offset in range(space.total_blocks):
-            page = base + offset
-            if (
-                space.is_block_allocated(offset)
-                and page not in referenced
-                and page not in keep
-            ):
-                orphans.append(page)
+    orphans = allocated_unreferenced(allocator, referenced, keep)
     runs = _runs(orphans)
     for start, count in runs:
         allocator.free(start, count)
+    scanned = sum(
+        allocator._spaces[index].total_blocks
+        for index in range(allocator.space_count)
+    )
     return len(orphans), len(runs), scanned
 
 
@@ -257,12 +193,17 @@ def recover_sharded_store(
     return resolve_sharded_store(store, log=log)
 
 
-def reboot_sharded_store(store: "ShardedStore") -> None:
-    """Reboot every shard: clear its fault site and halt latch, and drop
+def reboot_store(store: "LargeObjectStore") -> None:
+    """Reboot one store: clear its fault site and halt latch, and drop
     its buffer pool (dirty frames that never reached disk are lost)."""
+    store.env.disk.clear_fault_site()
+    store.env.pool.reset()
+
+
+def reboot_sharded_store(store: "ShardedStore") -> None:
+    """Reboot every shard (see :func:`reboot_store`)."""
     for shard_store in store.shards:
-        shard_store.env.disk.clear_fault_site()
-        shard_store.env.pool.reset()
+        reboot_store(shard_store)
 
 
 def _journals(store: "ShardedStore") -> tuple[IntentJournal, ...]:
@@ -270,6 +211,11 @@ def _journals(store: "ShardedStore") -> tuple[IntentJournal, ...]:
         raise InvalidArgumentError(
             "recover_sharded_store needs an atomic store "
             "(ShardedStore(atomic=True))"
+        )
+    if store.scheme not in SCHEMES:
+        raise InvalidArgumentError(
+            f"scheme {store.scheme!r} has no atomic recovery story "
+            "(no shadowing means no rollback image)"
         )
     return store.coordinator.journals
 
@@ -295,7 +241,11 @@ def resolve_sharded_store(
             shard=shard,
             batch=prepare.batch_id if in_flight and prepare else 0,
         ):
-            _reload_shard_objects(shard_store)
+            # Every object's in-memory structure is lost with the
+            # reboot; rebuild it from the disk image.
+            manager = shard_store.manager
+            for oid in manager.oids():
+                manager.mount(oid)
             if not in_flight:
                 reclaimed, runs, scanned = _reconcile(shard_store, journal)
                 report.shards.append(ShardRecovery(
@@ -374,7 +324,8 @@ def _reconcile(
     Returns ``(pages reclaimed, runs freed, block slots scanned)``
     summed over the data and meta areas.
     """
-    data_refs, meta_refs = _referenced_pages(shard_store)
+    manager = shard_store.manager
+    data_refs, meta_refs, _ = referenced_pages([(manager, manager.oids())])
     areas = shard_store.env.areas
     pages, runs, scanned = _reclaim_orphans(
         areas.data, data_refs, frozenset()
@@ -399,18 +350,10 @@ def fsck_sharded_store(store: "ShardedStore") -> list[FsckReport]:
     reports: list[FsckReport] = []
     for shard, shard_store in enumerate(store.shards):
         manager = shard_store.manager
-        if isinstance(manager, TreeBackedManager):
-            oids = sorted(manager._objects)
-        elif isinstance(manager, StarburstManager):
-            oids = sorted(manager._fields)
-        else:
-            raise InvalidArgumentError(
-                f"scheme {shard_store.scheme!r} is not fsck-sharded-aware"
-            )
         journals = (
             [store.coordinator.journals[shard]]
             if store.coordinator is not None
             else None
         )
-        reports.append(check([(manager, oids)], journals=journals))
+        reports.append(check([(manager, manager.oids())], journals=journals))
     return reports

@@ -55,6 +55,7 @@ from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
 from repro.core.errors import CrashError, InvalidArgumentError, ReproError
+from repro.core.fsck import referenced_pages
 from repro.exec.plan import BatchOp, MultiOp
 from repro.experiments.parallel import DegradationLog
 from repro.faults.injector import FaultInjector
@@ -62,9 +63,9 @@ from repro.faults.plan import FaultPlan, at, every
 from repro.recovery.atomic import (
     RecoveryReport,
     fsck_sharded_store,
+    reboot_store,
     recover_sharded_store,
 )
-from repro.recovery.crash import rebuild_content
 from repro.shard.router import ShardedStore
 
 __all__ = [
@@ -80,6 +81,7 @@ __all__ = [
     "SweepReport",
     "Wording",
     "cli_main",
+    "read_image",
     "run_sweep",
     "sweep",
 ]
@@ -117,6 +119,22 @@ def _scheme_options(scheme: str) -> dict[str, int]:
     if scheme not in _SCHEME_OPTIONS:
         raise InvalidArgumentError(f"unknown sweep scheme {scheme!r}")
     return _SCHEME_OPTIONS[scheme]
+
+
+def read_image(store: LargeObjectStore, oid: int) -> bytes:
+    """The object's content as the disk image alone holds it.
+
+    Reboots the store, mounts the object from its page images and reads
+    it through the normal read path.  The pool is reset again at the
+    end, so the image read leaves no frames behind to perturb later
+    write counts.  Raises :class:`ReproError` when the image holds no
+    readable object at ``oid``.
+    """
+    reboot_store(store)
+    store.manager.mount(oid)
+    content = bytes(store.read(oid, 0, store.size(oid)))
+    store.env.pool.reset()
+    return content
 
 
 # ----------------------------------------------------------------------
@@ -340,10 +358,10 @@ class StoreCase:
 class StoreScenario(Scenario):
     """A mutation of one object in one :class:`LargeObjectStore`.
 
-    There is no recovery step: the object is rebuilt from its raw page
-    images, must not reference any page twice, and must match the pre-
-    or post-mutation content (for a crashed create, "no object yet"
-    also counts as the pre-state).
+    There is no recovery step: the object is read from its disk image
+    (:func:`read_image`), must not reference any page twice, and must
+    match the pre- or post-mutation content (for a crashed create, "no
+    object yet" also counts as the pre-state).
     Subclasses supply ``name``, ``fresh`` and ``mutate``; a ``mutate``
     that creates the object records its id in ``case.oid``.
     """
@@ -362,22 +380,18 @@ class StoreScenario(Scenario):
     ) -> tuple[str, list[str]]:
         (target,) = post
         problems: list[str] = []
-        runs: list[tuple[int, int]] = []
         try:
-            recovered: bytes | None = rebuild_content(case.store, target, runs)
+            recovered: bytes | None = read_image(case.store, target)
         except ReproError:
             # The root/descriptor page never made it to disk in a
             # readable form — only a never-committed create may do that.
             recovered = None
-        claimed: set[int] = set()
-        for first, count in runs:
-            pages = set(range(first, first + count))
-            overlap = claimed & pages
-            if overlap:
+        else:
+            _, _, double = referenced_pages([(case.store.manager, [target])])
+            if double:
                 problems.append(
-                    f"pages {sorted(overlap)} referenced twice by the image"
+                    f"pages {sorted(double)} referenced twice by the image"
                 )
-            claimed |= pages
         before = pre.get(target)
         if recovered == post[target]:
             return "post", problems
@@ -448,7 +462,7 @@ class BatchCase:
 
     store: ShardedStore
     oids: list[int]
-    #: Each object rebuilt from raw pages before recovery (crash only).
+    #: Each object read from its image before recovery (crash only).
     images: dict[int, bytes | None] | None = None
 
 
@@ -517,7 +531,7 @@ class BatchScenario(Scenario):
         for oid in case.oids:
             shard_store, local = case.store._route(oid)
             try:
-                case.images[oid] = rebuild_content(shard_store, local)
+                case.images[oid] = read_image(shard_store, local)
             except ReproError:
                 case.images[oid] = None
         return recover_sharded_store(case.store, log=log)

@@ -308,6 +308,27 @@ class StarburstManager(LargeObjectManager):
         return self._descriptor(oid)
 
     # ------------------------------------------------------------------
+    # The disk image
+    # ------------------------------------------------------------------
+    def oids(self) -> list[int]:
+        """Every live object id, ascending."""
+        return sorted(self._fields)
+
+    def mount(self, oid: int) -> None:
+        """Decode the long field descriptor from its page image."""
+        self._fields[oid] = LongFieldDescriptor.deserialize(
+            self.env.disk.peek_pages(oid, 1), oid, self.config, DATA_AREA_BASE
+        )
+
+    def page_runs(
+        self, oid: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Every segment's allocation, and the descriptor page."""
+        descriptor = self._descriptor(oid)
+        data = [(s.page_id, s.alloc_pages) for s in descriptor.segments]
+        return data, [(descriptor.page_id, 1)]
+
+    # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
     def _descriptor(self, oid: int) -> LongFieldDescriptor:

@@ -134,6 +134,38 @@ class TreeBackedManager(LargeObjectManager):
         return self._tree(oid)
 
     # ------------------------------------------------------------------
+    # The disk image
+    # ------------------------------------------------------------------
+    def oids(self) -> list[int]:
+        """Every live object id, ascending."""
+        return sorted(self._objects)
+
+    def mount(self, oid: int) -> None:
+        """Reopen the object's tree: the root page uncharged, the
+        interior nodes through the buffer pool, depth first."""
+        env = self.env
+        self._objects[oid] = PositionalTree.reopen(
+            self.config,
+            env.pool,
+            env.areas.meta,
+            oid,
+            DATA_AREA_BASE,
+            shadow=env.shadow,
+            leaf_alloc_pages=self._leaf_alloc_pages,
+        )
+
+    def page_runs(
+        self, oid: int
+    ) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+        """Every leaf extent's allocation, and one page per index node."""
+        tree = self._tree(oid)
+        data = [
+            (extent.page_id, extent.alloc_pages)
+            for extent in tree.iter_extents(charged=False)
+        ]
+        return data, [(node.page_id, 1) for node in tree._walk_nodes()]
+
+    # ------------------------------------------------------------------
     # Internals shared by subclasses
     # ------------------------------------------------------------------
     def _tree(self, oid: int) -> PositionalTree:

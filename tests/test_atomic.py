@@ -46,12 +46,12 @@ from repro.recovery.atomic import (
     recover_sharded_store,
     resolve_sharded_store,
 )
-from repro.recovery.crash import rebuild_content
 from repro.recovery.sweep import (
     BatchCase,
     BatchScenario,
     Scenario,
     Wording,
+    read_image,
     run_sweep,
     sweep,
 )
@@ -302,7 +302,7 @@ class CrashInsideRecovery(Scenario):
         # From the image: before resolution the objects in memory are
         # those of the crashed execution.
         return {
-            oid: rebuild_content(*case.store._route(oid))
+            oid: read_image(*case.store._route(oid))
             for oid in case.oids
         }
 

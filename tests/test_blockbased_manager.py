@@ -132,10 +132,11 @@ class TestDirectory:
     def test_directory_chain_decodes(self, store):
         slots = store.manager._slots_per_directory_page()
         oid = store.create(pattern_bytes((slots + 3) * PAGE))
-        pages = store.manager.load_directory_chain(store.env, oid)
+        pages, directory = store.manager.load_directory_chain(store.env, oid)
         assert [(p.page_id, p.used_bytes) for p in pages] == [
             (p.page_id, p.used_bytes) for p in store.manager.pages_of(oid)
         ]
+        assert directory == store.manager._directories[oid]
 
 
 class TestDestroy:

@@ -16,8 +16,7 @@ from repro.core.config import small_page_config
 from repro.core.errors import CrashError
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, at
-from repro.recovery.crash import rebuild_content
-from repro.recovery.sweep import StoreCase, StoreScenario, sweep
+from repro.recovery.sweep import StoreCase, StoreScenario, read_image, sweep
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -77,7 +76,7 @@ class TestRebuild:
     def test_rebuild_matches_live_content(self, scheme, options):
         store = make_store(scheme, options)
         oid, content = committed_object(store)
-        assert rebuild_content(store, oid) == content
+        assert read_image(store, oid) == content
 
 
 class TestCrashWithShadowing:
@@ -101,7 +100,7 @@ class TestCrashWithShadowing:
         with crash_at(store, 1):  # crash on the very first write
             with pytest.raises(CrashError):
                 store.delete(oid, PAGE, 4 * PAGE)
-        assert rebuild_content(store, oid) == committed
+        assert read_image(store, oid) == committed
 
     def test_completed_operation_commits_new_state(self):
         store = make_store("eos", {"threshold_pages": 2})
@@ -109,7 +108,7 @@ class TestCrashWithShadowing:
         patch = pattern_bytes(PAGE, salt=5)
         store.insert(oid, 200, patch)
         new_content = store.read(oid, 0, store.size(oid))
-        assert rebuild_content(store, oid) == new_content
+        assert read_image(store, oid) == new_content
 
 
 class TestCrashWithoutShadowing:
@@ -127,7 +126,7 @@ class TestCrashWithoutShadowing:
                 store.replace(oid, 0, pattern_bytes(2 * PAGE, salt=7))
             except CrashError:
                 pass
-        recovered = rebuild_content(store, oid)
+        recovered = read_image(store, oid)
         assert recovered != committed, (
             "without shadowing the old state should be gone"
         )
@@ -161,7 +160,7 @@ class TestMoreCrashScenarios:
         with crash_at(store, 1):
             with pytest.raises(CrashError):
                 store.append(oid, pattern_bytes(4 * PAGE, salt=11))
-        recovered = rebuild_content(store, oid)
+        recovered = read_image(store, oid)
         # The committed prefix survives: in-place appends only ever write
         # past the committed bytes (or into fresh segments).
         assert recovered[: len(committed)] == committed
@@ -173,7 +172,7 @@ class TestMoreCrashScenarios:
         with crash_at(store, 1):
             with pytest.raises(CrashError):
                 store.replace(oid, PAGE, pattern_bytes(3 * PAGE, salt=12))
-        assert rebuild_content(store, oid) == committed
+        assert read_image(store, oid) == committed
 
     def test_repeated_crashes_then_success(self):
         """A client retrying after crashes eventually commits cleanly."""
@@ -185,7 +184,7 @@ class TestMoreCrashScenarios:
         # Model recovery: every crash reopens from the committed image.
         assert all(o.outcome == "pre" for o in report.outcomes)
         case = scenario.fresh()
-        committed = rebuild_content(case.store, case.oid)
+        committed = read_image(case.store, case.oid)
         scenario.mutate(case)  # the retry finally succeeds
         expected = committed[:100] + patch + committed[100:]
-        assert rebuild_content(case.store, case.oid) == expected
+        assert read_image(case.store, case.oid) == expected

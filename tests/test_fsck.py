@@ -7,7 +7,7 @@ import pytest
 from repro.core.api import LargeObjectStore, make_manager
 from repro.core.config import small_page_config
 from repro.core.env import StorageEnvironment
-from repro.core.fsck import check, object_page_runs
+from repro.core.fsck import check
 from tests.conftest import pattern_bytes
 
 CONFIG = small_page_config()
@@ -113,7 +113,7 @@ class TestPageRuns:
     def test_runs_cover_object_bytes(self):
         store = LargeObjectStore("esm", CONFIG, leaf_pages=2)
         oid = store.create(pattern_bytes(7 * PAGE))
-        data_runs, meta_runs = object_page_runs(store.manager, oid)
+        data_runs, meta_runs = store.manager.page_runs(oid)
         data_pages = sum(count for _start, count in data_runs)
         assert data_pages * PAGE >= store.size(oid)
         assert meta_runs  # at least the root page

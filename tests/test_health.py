@@ -24,7 +24,7 @@ import pytest
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
 from repro.core.errors import InvalidArgumentError
-from repro.core.fsck import object_page_runs
+from repro.core.manager import LargeObjectManager
 from repro.experiments import parallel, registry
 from repro.obs.health import (
     HealthProbe,
@@ -97,7 +97,7 @@ class TestHealthGauges:
         oid = exercise(store)
         report = probe_store(store)
         layout = report.shards[0].layout
-        runs, meta = object_page_runs(store.manager, oid)
+        runs, meta = store.manager.page_runs(oid)
         assert layout.objects == 1
         assert layout.bytes == store.size(oid)
         assert layout.data_runs == len(runs)
@@ -168,13 +168,14 @@ class TestHealthGauges:
         assert report.render().startswith("health:")
 
     def test_probe_rejects_unknown_manager(self):
-        class Fake:
-            pass
+        class Fake(LargeObjectManager):
+            """A manager kind with no disk-image interface."""
 
+        Fake.__abstractmethods__ = frozenset()
         store = LargeObjectStore("eos", CONFIG, shadowing=True)
         probe = HealthProbe(store)
         probe.store = type(
-            "S", (), {"manager": Fake(), "config": CONFIG, "scheme": "x"}
+            "S", (), {"manager": Fake(store.env), "config": CONFIG, "scheme": "x"}
         )()
         with pytest.raises(InvalidArgumentError):
             probe._probe_layout()

@@ -6,13 +6,14 @@ these tests rebuild from those images and verify nothing is lost.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.buddy.area import DATA_AREA_BASE
 from repro.buddy.directory import deserialize_directory, serialize_directory
 from repro.core.api import LargeObjectStore
 from repro.core.config import small_page_config
-from repro.starburst.descriptor import LongFieldDescriptor
-from repro.tree.tree import PositionalTree
+from repro.core.fsck import check
+from repro.recovery.atomic import reboot_store
 from tests.conftest import pattern_bytes
 
 PAGE = 128
@@ -31,20 +32,16 @@ class TestTreeReopen:
         # only the root header records.
         store.append(oid, pattern_bytes(PAGE // 2 + 7))
         old_tree = store.manager.tree_of(oid)
+        size = store.size(oid)
         expected = [
             (e.page_id, e.used_bytes, e.alloc_pages)
             for e in old_tree.iter_extents(charged=False)
         ]
 
-        reopened = PositionalTree.reopen(
-            store.config,
-            store.env.pool,
-            store.env.areas.meta,
-            oid,
-            DATA_AREA_BASE,
-            leaf_alloc_pages=store.manager._leaf_alloc_pages,
-        )
-        assert reopened.total_bytes == store.size(oid)
+        store.manager.mount(oid)
+        reopened = store.manager.tree_of(oid)
+        assert reopened is not old_tree
+        assert reopened.total_bytes == size
         assert reopened.height == old_tree.height
         got = [
             (e.page_id, e.used_bytes, e.alloc_pages)
@@ -56,14 +53,8 @@ class TestTreeReopen:
         store = store_factory("eos")
         data = pattern_bytes(10 * PAGE)
         oid = store.create(data)
-        reopened = PositionalTree.reopen(
-            store.config,
-            store.env.pool,
-            store.env.areas.meta,
-            oid,
-            DATA_AREA_BASE,
-        )
-        cursor = reopened.locate(5 * PAGE)
+        store.manager.mount(oid)
+        cursor = store.manager.tree_of(oid).locate(5 * PAGE)
         assert cursor.extent_start <= 5 * PAGE
 
 
@@ -73,14 +64,80 @@ class TestDescriptorReopen:
         oid = store.create()
         store.append(oid, pattern_bytes(9 * PAGE + 30))
         original = store.manager.descriptor_of(oid)
-        image = store.env.disk.peek_pages(oid, 1)
-        rebuilt = LongFieldDescriptor.deserialize(
-            image, oid, store.config, DATA_AREA_BASE
-        )
+        store.manager.mount(oid)
+        rebuilt = store.manager.descriptor_of(oid)
+        assert rebuilt is not original
         assert [s.page_id for s in rebuilt.segments] == [
             s.page_id for s in original.segments
         ]
         assert rebuilt.total_bytes == original.total_bytes
+
+
+MOUNT_SCHEMES = [
+    ("esm", {"leaf_pages": 2}),
+    ("starburst", {}),
+    ("eos", {"threshold_pages": 2}),
+    ("blockbased", {}),
+]
+
+history_step = st.tuples(
+    st.sampled_from(
+        ["create", "append", "insert", "delete", "replace", "destroy"]
+    ),
+    st.integers(min_value=0, max_value=10_000),  # object selector
+    st.integers(min_value=0, max_value=10_000),  # position selector
+    st.integers(min_value=1, max_value=8 * PAGE),  # size
+)
+
+
+@pytest.mark.parametrize("scheme,options", MOUNT_SCHEMES)
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(history_step, min_size=1, max_size=25))
+def test_mount_equals_live(scheme, options, steps):
+    """After any history, every object mounted from the disk image alone
+    (the pool dropped first, as by a reboot) has the live page runs,
+    size and content, and the store still checks clean."""
+    store = LargeObjectStore(scheme, CONFIG, **options)
+    manager = store.manager
+    model: dict[int, bytearray] = {}
+    for salt, (kind, which, position, size) in enumerate(steps):
+        payload = pattern_bytes(size, salt=salt)
+        if kind == "create" or not model:
+            model[store.create(payload)] = bytearray(payload)
+            continue
+        oid = sorted(model)[which % len(model)]
+        ref = model[oid]
+        if kind == "destroy":
+            store.destroy(oid)
+            del model[oid]
+        elif kind == "append":
+            store.append(oid, payload)
+            ref.extend(payload)
+        elif kind == "insert":
+            offset = position % (len(ref) + 1)
+            store.insert(oid, offset, payload)
+            ref[offset:offset] = payload
+        elif ref:
+            offset = position % len(ref)
+            n = min(size, len(ref) - offset)
+            if kind == "delete":
+                store.delete(oid, offset, n)
+                del ref[offset : offset + n]
+            else:
+                store.replace(oid, offset, payload[:n])
+                ref[offset : offset + n] = payload[:n]
+    assert manager.oids() == sorted(model)
+    live = {oid: manager.page_runs(oid) for oid in model}
+
+    reboot_store(store)
+    for oid in manager.oids():
+        manager.mount(oid)
+    for oid, ref in model.items():
+        assert manager.page_runs(oid) == live[oid]
+        assert store.size(oid) == len(ref)
+        assert store.read(oid, 0, len(ref)) == bytes(ref)
+    report = check([(manager, manager.oids())])
+    assert report.clean, report.summary()
 
 
 class TestDirectoryReopen:
